@@ -196,15 +196,19 @@ def load_sequence(source: Union[str, os.PathLike, io.TextIOBase]) -> Sequence:
         with open(source, "r", encoding="ascii") as fh:
             return load_sequence(fh)
     keys = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            value = int(line)
-        except ValueError:
-            raise SequenceFormatError(f"line {lineno}: not an integer: {line!r}") from None
-        keys.append(_check_key(value, f"line {lineno}"))
+    try:
+        for lineno, raw in enumerate(source, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = int(line)
+            except ValueError:
+                raise SequenceFormatError(f"line {lineno}: not an integer: {line!r}") from None
+            keys.append(_check_key(value, f"line {lineno}"))
+    except UnicodeDecodeError as exc:
+        # Raised while reading, so the decoder's offset is not a line number.
+        raise SequenceFormatError(f"not ASCII text: byte {exc.object[exc.start]:#04x}") from None
     return Sequence.from_keys(keys)
 
 

@@ -11,15 +11,18 @@ overlapping 2k-wide windows, which sorts any input whose items all sit
 within k slots of their final position.
 
 Every key test inside any routine here is charged to the caller's Meter.
-Hot loops carry a bulk fast path and an equivalent one-call-per-test path
-used when the meter is tracing; both charge identical counts.
+Hot loops carry a fast path and a one-call-per-test path used when the
+meter is tracing.  A fast path may execute different operations (a binary
+search, an unrolled group sort, a built-in sort of two runs) but charges
+exactly the comparisons of the per-test schedule, so both paths report
+identical counts.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -172,6 +175,8 @@ def _split3_keys(keys: list[int], pivot: int, m: Meter):
 
 def _insertion_sort_keys(keys: list[int], m: Meter) -> None:
     # In-place counted insertion sort for the tiny groups inside selection.
+    # Its one-call-per-test schedule is the charge _group_medians must
+    # reproduce exactly, whatever operations that kernel executes.
     for i in range(1, len(keys)):
         x = keys[i]
         j = i
@@ -179,6 +184,58 @@ def _insertion_sort_keys(keys: list[int], m: Meter) -> None:
             keys[j] = keys[j - 1]
             j -= 1
         keys[j] = x
+
+
+def _group_medians(keys: list[int], m: Meter) -> list[int]:
+    """Medians of the groups of 5 in keys, charged as _insertion_sort_keys.
+
+    Each full group is insertion-sorted unrolled on five locals: every `>`
+    below is the next test the per-test loop would make, in the same order,
+    so the charge is identical; it is tallied locally and added once.  The
+    first test of each insertion always runs, hence the flat 4 per group.
+    """
+    medians: list[int] = []
+    push = medians.append
+    extra = 0
+    it = iter(keys)
+    for a, b, x, y, z in zip(it, it, it, it, it):
+        if a > b:
+            a, b = b, a
+        if b > x:
+            extra += 1
+            if a > x:
+                a, b, x = x, a, b
+            else:
+                b, x = x, b
+        if x > y:
+            extra += 1
+            if b > y:
+                extra += 1
+                # The lowest value is never read again: inserting z only
+                # charges its test against it, and keeps just rank 3.
+                if a > y:
+                    b, x, y = a, b, x
+                else:
+                    b, x, y = y, b, x
+            else:
+                x, y = y, x
+        if y > z:
+            extra += 1
+            if x > z:
+                extra += 1
+                if b > z:
+                    extra += 1
+                    x = b
+                else:
+                    x = z
+        push(x)
+    m.comparisons += 4 * len(medians) + extra
+    tail = len(keys) % 5
+    if tail:
+        group = keys[-tail:]
+        _insertion_sort_keys(group, m)
+        push(group[(tail - 1) // 2])
+    return medians
 
 
 def _merge_items(left: list[Item], right: list[Item], m: Meter) -> list[Item]:
@@ -260,42 +317,54 @@ def _merge_sort_items(items: list[Item], m: Meter) -> list[Item]:
 
 
 def _merge_sort_keys(keys: list[int], m: Meter) -> list[int]:
-    """Counted bottom-up mergesort on bare keys (selection scratch work)."""
+    """Counted bottom-up mergesort on bare keys (selection scratch work).
+
+    The fast path merges each pair of runs A, B with sorted(A + B) and
+    charges what the left-biased merge loop (the trace path) tests before
+    one run is used up: every key of the run that ends first, plus the keys
+    of the other run that the merge outputs before that run's last key.
+    """
     n = len(keys)
     if n <= 1:
         return list(keys)
+    if m.trace is None:
+        it = iter(keys)
+        runs = [[x, y] if x <= y else [y, x] for x, y in zip(it, it)]
+        if n % 2:
+            runs.append([keys[-1]])
+        c = n // 2
+        while len(runs) > 1:
+            merged = []
+            for i in range(0, len(runs) - 1, 2):
+                a, b = runs[i], runs[i + 1]
+                if a[-1] <= b[-1]:
+                    c += len(a) + bisect_left(b, a[-1])
+                else:
+                    c += len(b) + bisect_right(a, b[-1])
+                merged.append(sorted(a + b))
+            if len(runs) % 2:
+                merged.append(runs[-1])
+            runs = merged
+        m.comparisons += c
+        return runs[0]
     a = list(keys)
     width = 1
-    trace = m.trace is not None
     while width < n:
         out: list[int] = []
         push = out.append
-        c = 0
         for lo in range(0, n, 2 * width):
             mid = min(lo + width, n)
             hi = min(lo + 2 * width, n)
             i, j = lo, mid
-            if trace:
-                while i < mid and j < hi:
-                    if m.less_equal(a[i], a[j]):
-                        push(a[i])
-                        i += 1
-                    else:
-                        push(a[j])
-                        j += 1
-            else:
-                while i < mid and j < hi:
-                    c += 1
-                    if a[i] <= a[j]:
-                        push(a[i])
-                        i += 1
-                    else:
-                        push(a[j])
-                        j += 1
+            while i < mid and j < hi:
+                if m.less_equal(a[i], a[j]):
+                    push(a[i])
+                    i += 1
+                else:
+                    push(a[j])
+                    j += 1
             out.extend(a[i:mid])
             out.extend(a[j:hi])
-        if not trace:
-            m.comparisons += c
         a = out
         width *= 2
     return a
@@ -315,11 +384,14 @@ def _select_kth_key(keys: list[int], k: int, m: Meter) -> int:
         if n <= 5:
             _insertion_sort_keys(keys, m)
             return keys[k - 1]
-        medians = []
-        for g in range(0, n, 5):
-            group = keys[g : g + 5]
-            _insertion_sort_keys(group, m)
-            medians.append(group[(len(group) - 1) // 2])
+        if m.trace is None:
+            medians = _group_medians(keys, m)
+        else:
+            medians = []
+            for g in range(0, n, 5):
+                group = keys[g : g + 5]
+                _insertion_sort_keys(group, m)
+                medians.append(group[(len(group) - 1) // 2])
         pivot = _select_kth_key(medians, (len(medians) + 1) // 2, m)
         lo, eq, hi = _split3_keys(keys, pivot, m)
         if k <= len(lo):
@@ -616,7 +688,7 @@ def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
     """
     m = m if m is not None else Meter()
     n = s.n
-    if k < 1 or k > n:
+    if k < 1 or (n > 0 and k > n):
         raise ValueError(f"window parameter k={k} out of range for n={n}")
     c0, v0 = m.comparisons, m.moves
     items = list(s.items)

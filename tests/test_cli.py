@@ -150,6 +150,24 @@ def test_sort_blocked_underpowered_k_exit_3(tmp_path, capsys):
     assert "sorted=false" in stdout
 
 
+def test_sort_blocked_empty_file_exit_0(tmp_path, capsys):
+    f = tmp_path / "empty.txt"
+    f.write_text("")
+    code, stdout, _ = run(capsys, "sort", "--in", str(f), "--algo", "blocked", "--k", "1")
+    assert code == 0
+    assert "comparisons=0" in stdout and "sorted=true" in stdout
+
+
+def test_non_ascii_input_exit_2_one_line(tmp_path, capsys):
+    f = tmp_path / "latin.txt"
+    f.write_bytes(b"3\n\xe9\n1\n")
+    for cmd in (["sort", "--algo", "psort"], ["measure"]):
+        code, stdout, err = run(capsys, cmd[0], "--in", str(f), *cmd[1:])
+        assert code == 2
+        assert stdout == ""
+        assert err.count("\n") == 1 and "not ASCII" in err
+
+
 def test_sort_blocked_missing_k_exit_1(tmp_path, capsys):
     f = tmp_path / "w.txt"
     write_keys(f, [2, 1])

@@ -158,6 +158,13 @@ def test_load_rejects_out_of_range_keys():
         load_sequence(io.StringIO(f"{KEY_MIN - 1}\n"))
 
 
+def test_load_rejects_non_ascii_bytes(tmp_path):
+    p = tmp_path / "latin.txt"
+    p.write_bytes(b"1\n\xc3\xa9\n2\n")
+    with pytest.raises(SequenceFormatError, match="not ASCII"):
+        load_sequence(p)
+
+
 def test_load_accepts_extreme_keys():
     s = load_sequence(io.StringIO(f"{KEY_MIN}\n{KEY_MAX}\n"))
     assert s.keys() == [KEY_MIN, KEY_MAX]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -12,7 +13,11 @@ from presort.sorters import (
     MEDIAN_SELECT_FACTOR,
     RANDOM_MIDDLE_ATTEMPT_CAP,
     PivotStrategy,
+    _group_medians,
+    _insertion_sort_keys,
+    _merge_sort_keys,
     blocked_sort,
+    exact_median,
     insertion_sort,
     natural_merge_sort,
     partition_sort,
@@ -313,6 +318,12 @@ def test_blocked_comparison_budget_and_correctness():
         assert out.comparisons <= 2 * n * (math.log2(2 * k) + 1)
 
 
+def test_blocked_empty_input_is_sorted():
+    out = blocked_sort(Sequence.from_keys([]), 1, Meter())
+    assert out.is_sorted and out.output.n == 0
+    assert out.comparisons == out.moves == 0
+
+
 def test_blocked_stable_with_duplicates():
     s = Sequence.from_keys([2, 2, 1, 1, 3, 3, 2, 2])
     k = max_displacement(s)
@@ -407,7 +418,9 @@ def _battery(rng):
     yield Sequence.from_keys(range(17, 0, -1))
     yield Sequence.from_keys(BLOCKS16)
     yield Sequence.from_keys([5] * 11)
-    for n in (7, 24, 41):
+    # 300 and 1000 reach Floyd-Rivest sampling and several levels of
+    # median-of-medians recursion.
+    for n in (7, 24, 41, 300, 1000):
         yield Sequence.from_keys(rng.choices(range(8), k=n))
         yield Sequence.from_keys(rng.sample(range(1000), n))
 
@@ -446,3 +459,54 @@ def test_trace_parity_every_algorithm():
             _run_traced_and_fast(lambda m: select_floyd_rivest(s, random.Random(7), m))
         if s.n >= 4:
             _run_traced_and_fast(lambda m: select_random_middle(s, random.Random(7), m))
+
+
+def test_group_medians_match_per_test_insertion_sort():
+    """Every weak order of a group of 5 gives the same median and charge."""
+    for group in itertools.product(range(5), repeat=5):
+        fast = Meter()
+        got = _group_medians(list(group), fast)
+        ref = list(group)
+        slow = Meter()
+        _insertion_sort_keys(ref, slow)
+        assert got == [ref[2]], group
+        assert fast.comparisons == slow.comparisons, group
+
+
+def test_group_medians_short_final_group():
+    rng = random.Random(8)
+    for n in range(1, 23):
+        keys = rng.choices(range(6), k=n)
+        fast = Meter()
+        got = _group_medians(keys, fast)
+        slow = Meter()
+        ref = []
+        for g in range(0, n, 5):
+            group = keys[g : g + 5]
+            _insertion_sort_keys(group, slow)
+            ref.append(group[(len(group) - 1) // 2])
+        assert got == ref, keys
+        assert fast.comparisons == slow.comparisons, keys
+
+
+def test_merge_sort_keys_fast_path_matches_traced():
+    rng = random.Random(21)
+    for alphabet in (2, 5, 1000):
+        for n in range(131):
+            keys = rng.choices(range(alphabet), k=n)
+            fast = Meter()
+            traced = Meter()
+            traced.trace = []
+            got = _merge_sort_keys(keys, fast)
+            assert got == _merge_sort_keys(keys, traced) == sorted(keys), (alphabet, n)
+            assert fast.comparisons == traced.comparisons == len(traced.trace), (alphabet, n)
+
+
+def test_readme_example_counts_pinned():
+    """The README's `presort sort --algo psort --pivot median` figures."""
+    s = generate(GenSpec("displacement", 100000, k=64, seed=7))
+    out = partition_sort(s, exact_median(), Meter())
+    assert out.comparisons == 9372984
+    assert out.moves == 1134665
+    assert out.max_recursion_depth == 15
+    assert out.output.keys() == sorted(s.keys())
