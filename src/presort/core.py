@@ -1,14 +1,18 @@
 """Tagged items, comparison metering, and the shared verification oracle.
 
-Every algorithm in this package works on sequences of Item(key, tag) pairs.
-The key is what gets compared; the tag remembers where the item started, so
-stability can be checked after the fact instead of trusted.
+Every algorithm in this package works on sequences of items, each a plain
+(key, tag) tuple of ints.  The key is what gets compared; the tag remembers
+where the item started, so stability can be checked after the fact instead
+of trusted.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
+from itertools import count, islice
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 KEY_MIN = -(2**63)
@@ -16,14 +20,19 @@ KEY_MAX = 2**63 - 1
 
 
 class Item(NamedTuple):
-    """A sortable record: 64-bit signed key plus its original position."""
+    """The shape of an item: 64-bit signed key plus its original position.
+
+    Items are stored as plain (key, tag) tuples, which compare and hash
+    equal to an Item of the same fields; code reads them by index or
+    unpacking.  A Sequence may still be built from Items.
+    """
 
     key: int
     tag: int
 
 
 class Sequence:
-    """An immutable run of Items.
+    """An immutable run of (key, tag) items.
 
     For a freshly loaded or generated input the tags are exactly the
     positions 0..n-1.  Slices produced mid-algorithm (partition pieces and
@@ -32,27 +41,29 @@ class Sequence:
 
     __slots__ = ("items",)
 
-    def __init__(self, items: Iterable[Item]):
-        self.items: tuple[Item, ...] = tuple(items)
+    def __init__(self, items: Iterable[tuple[int, int]]):
+        self.items: tuple[tuple[int, int], ...] = tuple(items)
 
     @classmethod
     def from_keys(cls, keys: Iterable[int]) -> "Sequence":
-        return cls(Item(int(k), i) for i, k in enumerate(keys))
+        # Building a list first and copying it is about twice as fast as
+        # growing a tuple straight from the iterator at n = 10**6.
+        return cls(list(zip(map(int, keys), count())))
 
     @property
     def n(self) -> int:
         return len(self.items)
 
     def keys(self) -> list[int]:
-        return [it.key for it in self.items]
+        return list(map(itemgetter(0), self.items))
 
     def tags(self) -> list[int]:
-        return [it.tag for it in self.items]
+        return list(map(itemgetter(1), self.items))
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def __iter__(self) -> Iterator[Item]:
+    def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.items)
 
     def __getitem__(self, i):
@@ -66,7 +77,7 @@ class Sequence:
 
     def __repr__(self) -> str:
         if self.n > 12:
-            head = ", ".join(str(it.key) for it in self.items[:12])
+            head = ", ".join(str(key) for key, _ in self.items[:12])
             return f"Sequence([{head}, ...], n={self.n})"
         return f"Sequence({self.keys()!r})"
 
@@ -116,15 +127,7 @@ class Meter:
             return -1
         return 1 if self.greater(a, b) else 0
 
-    # -- bulk counted scans (hot paths; trace falls back to single tests) ----
-
-    def count_below(self, keys: Iterable[int], pivot: int) -> int:
-        """How many keys compare strictly below pivot; one test per key."""
-        if self.trace is not None:
-            return sum(1 for k in keys if self.less(k, pivot))
-        keys = list(keys)
-        self.comparisons += len(keys)
-        return sum(1 for k in keys if k < pivot)
+    # -- bulk counted scan (hot path; trace falls back to single tests) -----
 
     def first_descent(self, keys: list) -> int:
         """Index of the first adjacent descent in keys, or -1 if none.
@@ -171,13 +174,17 @@ def verify_sorted_stable_permutation(inp: Sequence, out: Sequence) -> bool:
         if key < prev_key or (key == prev_key and tag <= prev_tag):
             return False
         prev_key, prev_tag = key, tag
-    return sorted(inp.items) == list(out.items)
+    return all(map(eq, sorted(inp.items), out.items))
 
 
 # -- text exchange format ----------------------------------------------------
 #
-# One decimal integer per line; lines starting with '#' are comments and
-# blank lines are ignored.  Tags are assigned by line order on load.
+# One key per line: after stripping surrounding whitespace, an optional sign
+# followed by ASCII decimal digits (leading zeros allowed, no '_' digit
+# separators).  Lines starting with '#' are comments and blank lines are
+# ignored.  Tags are assigned by line order on load.
+
+_KEY = re.compile(r"[+-]?[0-9]+")
 
 
 class SequenceFormatError(ValueError):
@@ -190,25 +197,65 @@ def _check_key(value: int, where: str) -> int:
     return value
 
 
+def _parse_lines(lines: Iterable[str]) -> list[int]:
+    """The reference parser: one line at a time, raising on the first bad one."""
+    keys = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if not _KEY.fullmatch(line):
+                raise ValueError(line)
+            value = int(line)
+        except ValueError:
+            raise SequenceFormatError(f"line {lineno}: not an integer: {line!r}") from None
+        keys.append(_check_key(value, f"line {lineno}"))
+    return keys
+
+
+def _parse_bulk(lines: list[str]) -> Optional[list[int]]:
+    """Keys of lines in one C-level pass, or None when in any doubt.
+
+    Handles the common file exactly: leading '#' header lines, then one
+    in-range key per line.  Anything else (a blank line, a later comment, a
+    '_' or non-ASCII character that int() accepts but the format does not,
+    an out-of-range key) returns None so that _parse_lines, the only code
+    that raises, decides and words the error.
+    """
+    start = 0
+    while start < len(lines) and lines[start].startswith("#"):
+        start += 1
+    text = "".join(islice(lines, start, None))
+    if "_" in text or not text.isascii():
+        return None
+    del text
+    try:
+        keys = list(map(int, islice(lines, start, None)))
+    except ValueError:
+        return None
+    if keys and not (KEY_MIN <= min(keys) and max(keys) <= KEY_MAX):
+        return None
+    return keys
+
+
 def load_sequence(source: Union[str, os.PathLike, io.TextIOBase]) -> Sequence:
     """Read a Sequence from a path or text file object."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="ascii") as fh:
             return load_sequence(fh)
-    keys = []
+    lines: list[str] = []
     try:
-        for lineno, raw in enumerate(source, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise SequenceFormatError(f"line {lineno}: not an integer: {line!r}") from None
-            keys.append(_check_key(value, f"line {lineno}"))
+        lines.extend(source)
     except UnicodeDecodeError as exc:
-        # Raised while reading, so the decoder's offset is not a line number.
+        # Lines decoded before the bad byte are checked first, as a line by
+        # line read would.  The decoder's offset is not a line number.
+        _parse_lines(lines)
         raise SequenceFormatError(f"not ASCII text: byte {exc.object[exc.start]:#04x}") from None
+    keys = _parse_bulk(lines)
+    if keys is None:
+        keys = _parse_lines(lines)
+    del lines  # free the line strings before the items are built
     return Sequence.from_keys(keys)
 
 
@@ -221,5 +268,5 @@ def dump_sequence(s: Sequence, sink: Union[str, os.PathLike, io.TextIOBase], hea
     if header:
         for line in header.splitlines():
             sink.write(f"# {line}\n")
-    for it in s.items:
-        sink.write(f"{it.key}\n")
+    for key, _ in s.items:
+        sink.write(f"{key}\n")

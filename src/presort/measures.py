@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count, islice
+from operator import gt, sub
+from typing import Optional
 
 from .core import Sequence
 
@@ -55,41 +58,43 @@ class Profile:
     distinct_keys: int
 
 
-def decompose_maximal(s: Sequence) -> Decomposition:
+def _rank_order(s: Sequence) -> list[int]:
+    """Input positions listed by rank: items ranked by (key, tag)."""
+    items = s.items
+    return sorted(range(len(items)), key=items.__getitem__)
+
+
+def decompose_maximal(s: Sequence, order: Optional[list[int]] = None) -> Decomposition:
     """Split s into its maximal sorted blocks, greedily along rank order.
 
     Items are ranked by (key, tag); ties inherit input order.  Walking the
     ranks, a block keeps growing while input positions increase and a new
     block starts the moment they step backwards.  The result is the unique
     maximal decomposition: no block can absorb an adjacent rank without
-    breaking position order.
+    breaking position order.  order, when given, must be the positions
+    sorted by (key, tag), as profile passes it.
     """
-    items = s.items
-    n = len(items)
+    n = s.n
     if n == 0:
         return Decomposition(blocks=(), sizes=())
-    order = sorted(range(n), key=items.__getitem__)
-    blocks: list[tuple[int, ...]] = []
-    current = [order[0]]
-    last = order[0]
-    for pos in order[1:]:
-        if pos > last:
-            current.append(pos)
-        else:
-            blocks.append(tuple(current))
-            current = [pos]
-        last = pos
-    blocks.append(tuple(current))
-    return Decomposition(blocks=tuple(blocks), sizes=tuple(len(b) for b in blocks))
+    if order is None:
+        order = _rank_order(s)
+    starts = [0, *compress(count(1), map(gt, order, islice(order, 1, None))), n]
+    blocks = tuple(tuple(order[a:b]) for a, b in zip(starts, islice(starts, 1, None)))
+    return Decomposition(blocks=blocks, sizes=tuple(map(len, blocks)))
 
 
 def inversions(s: Sequence) -> int:
     """Number of pairs i < j with key_i > key_j (ties are not inversions).
 
     Merge-counting, O(n log n); tests hold it against the quadratic
-    all-pairs definition.
+    all-pairs definition.  A sorted input costs one scan, and a pair of
+    runs already in order (last key of the left <= first of the right) is
+    copied through without merging.
     """
     keys = s.keys()
+    if not any(map(gt, keys, islice(keys, 1, None))):
+        return 0
     total = 0
     width = 1
     n = len(keys)
@@ -98,6 +103,9 @@ def inversions(s: Sequence) -> int:
         for lo in range(0, n, 2 * width):
             mid = min(lo + width, n)
             hi = min(lo + 2 * width, n)
+            if mid == hi or keys[mid - 1] <= keys[mid]:
+                merged.extend(keys[lo:hi])
+                continue
             i, j = lo, mid
             while i < mid and j < hi:
                 if keys[i] <= keys[j]:
@@ -114,15 +122,16 @@ def inversions(s: Sequence) -> int:
     return total
 
 
-def max_displacement(s: Sequence) -> int:
+def max_displacement(s: Sequence, order: Optional[list[int]] = None) -> int:
     """Largest |position - stable sorted position| over all items.
 
     The sorted position of an item is its rank by (key, tag), so duplicate
     keys settle in input order and contribute no artificial displacement.
+    order is as for decompose_maximal.
     """
-    items = s.items
-    order = sorted(range(len(items)), key=items.__getitem__)
-    return max((abs(pos - rank) for rank, pos in enumerate(order)), default=0)
+    if order is None:
+        order = _rank_order(s)
+    return max(map(abs, map(sub, order, count())), default=0)
 
 
 def count_runs(s: Sequence) -> int:
@@ -130,13 +139,7 @@ def count_runs(s: Sequence) -> int:
     keys = s.keys()
     if not keys:
         return 0
-    runs = 1
-    prev = keys[0]
-    for k in keys[1:]:
-        if prev > k:
-            runs += 1
-        prev = k
-    return runs
+    return 1 + sum(map(gt, keys, islice(keys, 1, None)))
 
 
 def _check_sizes(sizes, n: int) -> list[int]:
@@ -174,8 +177,10 @@ def profile(s: Sequence) -> Profile:
     n = s.n
     if n == 0:
         return Profile(0, (), 0, 0.0, 0.0, 0, 0, 0, 0)
-    deco = decompose_maximal(s)
-    sizes = deco.size_multiset()
+    order = _rank_order(s)
+    sizes = decompose_maximal(s, order).size_multiset()
+    displacement = max_displacement(s, order)
+    del order  # inversions builds its own merge arrays; keep the peak down
     return Profile(
         n=n,
         sizes=sizes,
@@ -183,7 +188,7 @@ def profile(s: Sequence) -> Profile:
         entropy=entropy(sizes, n),
         bound=entropy_bound(sizes, n),
         inversions=inversions(s),
-        displacement=max_displacement(s),
+        displacement=displacement,
         runs=count_runs(s),
         distinct_keys=len(set(s.keys())),
     )

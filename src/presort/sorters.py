@@ -24,6 +24,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .core import Item, Meter, Sequence
@@ -115,13 +116,13 @@ def _partition3_items(items: list[Item], pivot_key: int, m: Meter):
     hi: list[Item] = []
     if m.trace is not None:
         for it in items:
-            c = m.cmp3(it.key, pivot_key)
+            c = m.cmp3(it[0], pivot_key)
             (lo if c < 0 else hi if c > 0 else eq).append(it)
     else:
         c = 0
         push_lo, push_eq, push_hi = lo.append, eq.append, hi.append
         for it in items:
-            k = it.key
+            k = it[0]
             if k < pivot_key:
                 c += 1
                 push_lo(it)
@@ -245,7 +246,7 @@ def _merge_items(left: list[Item], right: list[Item], m: Meter) -> list[Item]:
     i = j = 0
     if m.trace is not None:
         while i < la and j < lb:
-            if m.less_equal(left[i].key, right[j].key):
+            if m.less_equal(left[i][0], right[j][0]):
                 out.append(left[i])
                 i += 1
             else:
@@ -256,7 +257,7 @@ def _merge_items(left: list[Item], right: list[Item], m: Meter) -> list[Item]:
         push = out.append
         while i < la and j < lb:
             c += 1
-            if left[i].key <= right[j].key:
+            if left[i][0] <= right[j][0]:
                 push(left[i])
                 i += 1
             else:
@@ -290,7 +291,7 @@ def _merge_sort_items(items: list[Item], m: Meter) -> list[Item]:
             i, j = lo, mid
             if trace:
                 while i < mid and j < hi:
-                    if m.less_equal(a[i].key, a[j].key):
+                    if m.less_equal(a[i][0], a[j][0]):
                         push(a[i])
                         i += 1
                     else:
@@ -299,7 +300,7 @@ def _merge_sort_items(items: list[Item], m: Meter) -> list[Item]:
             else:
                 while i < mid and j < hi:
                     c += 1
-                    if a[i].key <= a[j].key:
+                    if a[i][0] <= a[j][0]:
                         push(a[i])
                         i += 1
                     else:
@@ -555,7 +556,7 @@ def _insertion_items(items: list[Item], m: Meter) -> list[Item]:
         for i in range(1, len(a)):
             x = a[i]
             j = i
-            while j > 0 and m.greater(a[j - 1].key, x.key):
+            while j > 0 and m.greater(a[j - 1][0], x[0]):
                 a[j] = a[j - 1]
                 m.moves += 1
                 j -= 1
@@ -567,12 +568,13 @@ def _insertion_items(items: list[Item], m: Meter) -> list[Item]:
     keys: list[int] = []
     c = moves = 0
     for i, it in enumerate(items):
-        p = bisect_right(keys, it.key)
+        key = it[0]
+        p = bisect_right(keys, key)
         shifts = i - p
         c += shifts + (1 if p > 0 else 0)
         if shifts:
             moves += shifts + 1
-        keys.insert(p, it.key)
+        keys.insert(p, key)
         out.insert(p, it)
     m.comparisons += c
     m.moves += moves
@@ -602,13 +604,13 @@ def natural_merge_sort(s: Sequence, m: Optional[Meter] = None) -> SortOutcome:
         start = 0
         if m.trace is not None:
             for i in range(n - 1):
-                if m.greater(items[i].key, items[i + 1].key):
+                if m.greater(items[i][0], items[i + 1][0]):
                     runs.append(items[start : i + 1])
                     start = i + 1
         else:
-            prev = items[0].key
+            prev = items[0][0]
             for i in range(1, n):
-                k = items[i].key
+                k = items[i][0]
                 if prev > k:
                     runs.append(items[start:i])
                     start = i
@@ -638,7 +640,7 @@ def _choose_pivot(seq: Sequence, strategy: PivotStrategy, rng, m: Meter, stats: 
 def _psort(items: list[Item], strategy: PivotStrategy, rng, m: Meter, depth: int, stats: _RunStats) -> list[Item]:
     if depth > stats.max_depth:
         stats.max_depth = depth
-    if m.first_descent([it.key for it in items]) < 0:
+    if m.first_descent(list(map(itemgetter(0), items))) < 0:
         return items
     if len(items) <= SMALL_SEGMENT:
         return _insertion_items(items, m)
@@ -696,7 +698,7 @@ def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
         items[lo : lo + 2 * k] = _merge_sort_items(items[lo : lo + 2 * k], m)
     for lo in range(k, n, 2 * k):
         items[lo : lo + 2 * k] = _merge_sort_items(items[lo : lo + 2 * k], m)
-    keys = [it.key for it in items]
+    keys = list(map(itemgetter(0), items))
     is_sorted = all(keys[i] <= keys[i + 1] for i in range(n - 1))
     return SortOutcome(
         Sequence(items),

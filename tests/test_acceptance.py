@@ -68,7 +68,7 @@ def gate(capsys, num):
 
 
 def ref_sort(seq):
-    return Sequence(sorted(seq.items, key=lambda it: it.key))
+    return Sequence(sorted(seq.items, key=lambda it: it[0]))
 
 
 @pytest.fixture(scope="session")
@@ -282,7 +282,7 @@ def test_criterion_6_multiset_budget(capsys, calibration):
 def check_decomposition_maximality(seq, d):
     """Independent oracle: the defining properties pin the decomposition."""
     n = seq.n
-    by_rank = sorted(range(n), key=lambda p: (seq.items[p].key, seq.items[p].tag))
+    by_rank = sorted(range(n), key=lambda p: (seq.items[p][0], seq.items[p][1]))
     rank_of = {p: r for r, p in enumerate(by_rank)}
     assert sorted(p for blk in d.blocks for p in blk) == list(range(n))
     next_rank = 0

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presort.cli import BENCH_HEADER, CENSUS_HEADER, main
 from presort.core import load_sequence
@@ -166,6 +172,34 @@ def test_non_ascii_input_exit_2_one_line(tmp_path, capsys):
         assert code == 2
         assert stdout == ""
         assert err.count("\n") == 1 and "not ASCII" in err
+
+
+def test_digit_separator_key_exit_2(tmp_path, capsys):
+    f = tmp_path / "sep.txt"
+    f.write_text("# header\n+5\n1_000\n")
+    for cmd in (["sort", "--algo", "psort"], ["measure"]):
+        code, stdout, err = run(capsys, cmd[0], "--in", str(f), *cmd[1:])
+        assert code == 2
+        assert stdout == ""
+        assert err == f"presort {cmd[0]}: line 3: not an integer: '1_000'\n"
+
+
+@given(st.one_of(st.binary(max_size=200), st.text("0123456789+-_#x \t\r\n\x0b\x0c\x1c", max_size=200).map(str.encode)))
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_input_bytes_exit_0_or_2_with_one_line(data):
+    # In-process, so an escaping exception fails the test as a traceback would.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for argv in (["sort", "--in", path, "--algo", "psort"], ["measure", "--in", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2)
+            assert err.getvalue().count("\n") <= 1
+            assert "Traceback" not in err.getvalue()
+            assert (code == 2) == bool(err.getvalue())
 
 
 def test_sort_blocked_missing_k_exit_1(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from presort.core import (
@@ -12,6 +12,7 @@ from presort.core import (
     Sequence,
     SequenceFormatError,
     dump_sequence,
+    _parse_lines,
     load_sequence,
     sorted_check,
     verify_sorted_stable_permutation,
@@ -74,15 +75,6 @@ def test_first_descent_trace_matches_fast_path(keys):
     fast = Meter()
     assert traced.first_descent(list(keys)) == fast.first_descent(list(keys))
     assert traced.comparisons == len(traced.trace) == fast.comparisons
-
-
-@given(st.lists(st.integers(-50, 50), max_size=60), st.integers(-50, 50))
-def test_count_below_trace_matches_fast_path(keys, pivot):
-    traced = Meter()
-    traced.trace = []
-    fast = Meter()
-    assert traced.count_below(list(keys), pivot) == fast.count_below(list(keys), pivot)
-    assert traced.comparisons == len(traced.trace) == fast.comparisons == len(keys)
 
 
 def test_meter_cmp3_charges_one_or_two():
@@ -173,3 +165,81 @@ def test_load_accepts_extreme_keys():
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_sequence(tmp_path / "nope.txt")
+
+
+def test_load_accepts_sign_leading_zeros_and_padding():
+    s = load_sequence(io.StringIO("+5\n -007\t\n0\r\n-0\n"))
+    assert s.keys() == [5, -7, 0, 0]
+
+
+def test_load_rejects_digit_separators():
+    with pytest.raises(SequenceFormatError, match=r"^line 2: not an integer: '1_000'$"):
+        load_sequence(io.StringIO("# header\n1_000\n"))
+
+
+def test_load_rejects_non_ascii_digits():
+    # int() accepts other scripts' digits; the format does not.
+    with pytest.raises(SequenceFormatError, match="line 1: not an integer"):
+        load_sequence(io.StringIO("\u0663\n"))
+
+
+def test_load_reports_bad_line_decoded_before_a_non_ascii_byte(tmp_path):
+    # A line read decodes in chunks, so a bad line in an earlier chunk is
+    # what gets reported, not the byte after it.
+    p = tmp_path / "late.txt"
+    p.write_bytes(b"1\npotato\n" + b"2\n" * 20000 + b"\xc3\n")
+    with pytest.raises(SequenceFormatError, match="^line 2: not an integer: 'potato'$"):
+        load_sequence(p)
+    p.write_bytes(b"1\n" * 20000 + b"\xc3\n")
+    with pytest.raises(SequenceFormatError, match="not ASCII text: byte 0xc3"):
+        load_sequence(p)
+
+
+# A sequence file grammar, good lines and bad: keys with signs, leading
+# zeros, '_' separators and padding, keys just inside and outside the 64-bit
+# range, comments anywhere, blank lines and junk.
+_NEAR_EDGES = [KEY_MIN - 1, KEY_MIN, KEY_MAX, KEY_MAX + 1, -(2**64), 2**64]
+_OTHER_LINES = ["", " ", "\t", "#", "  # indented", "x", "1.5", "--1", "+", "-", "0x10", "1 2"]
+
+
+@st.composite
+def _key_line(draw, valid):
+    """One key line; unless valid, it may carry a '_' or leave the range."""
+    edges = [KEY_MIN, KEY_MAX] if valid else _NEAR_EDGES
+    value = draw(st.one_of(*[st.integers(-1000, 1000)] * 3, st.sampled_from(edges)))
+    digits = "0" * draw(st.integers(0, 2)) + str(abs(value))
+    if not valid and draw(st.integers(0, 3)) == 0:
+        cut = draw(st.integers(0, len(digits)))
+        digits = digits[:cut] + "_" + digits[cut:]
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
+    pad = st.sampled_from(["", "", "", " ", "\t", " \t "])
+    return draw(pad) + sign + digits + draw(pad)
+
+
+@st.composite
+def _sequence_text(draw):
+    """Header comments, then key lines only, or key lines mixed with the rest."""
+    header = draw(st.lists(st.sampled_from(["# family=sorted n=3 seed=7", "#"]), max_size=2))
+    if draw(st.booleans()):
+        line = _key_line(valid=True)
+    else:
+        line = st.one_of(*[_key_line(valid=False)] * 3, st.sampled_from(_OTHER_LINES))
+    lines = header + draw(st.lists(line, max_size=10))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if ends and draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text
+
+
+@given(_sequence_text())
+@settings(max_examples=400)
+def test_load_matches_per_line_reference(text):
+    try:
+        want = Sequence.from_keys(_parse_lines(io.StringIO(text)))
+    except SequenceFormatError as exc:
+        with pytest.raises(SequenceFormatError) as got:
+            load_sequence(io.StringIO(text))
+        assert str(got.value) == str(exc)
+    else:
+        assert load_sequence(io.StringIO(text)) == want

@@ -44,7 +44,7 @@ def check_decomposition_properties(seq, d):
     decomposition uniquely, so they double as an independent oracle.
     """
     n = seq.n
-    by_rank = sorted(range(n), key=lambda p: (seq.items[p].key, seq.items[p].tag))
+    by_rank = sorted(range(n), key=lambda p: (seq.items[p][0], seq.items[p][1]))
     rank_of = {p: r for r, p in enumerate(by_rank)}
     assert sorted(p for blk in d.blocks for p in blk) == list(range(n))
     next_rank = 0
@@ -66,7 +66,7 @@ def test_decompose_block_vector():
     d = decompose_maximal(seq)
     assert d.size_multiset() == BLOCKS16_MULTISET
     assert d.block_count == 8
-    assert [[seq.items[p].key for p in blk] for blk in d.blocks] == BLOCKS16_BLOCK_KEYS
+    assert [[seq.items[p][0] for p in blk] for blk in d.blocks] == BLOCKS16_BLOCK_KEYS
     check_decomposition_properties(seq, d)
 
 
@@ -128,6 +128,36 @@ def test_inversions_ties_do_not_count():
 @settings(max_examples=300)
 def test_inversions_matches_quadratic_oracle(keys):
     assert inversions(Sequence.from_keys(keys)) == quad_inversions(keys)
+
+
+@st.composite
+def _sorted_blocks(draw):
+    """Sorted blocks laid end to end; each one either starts at or above the
+    previous block's last key (the pair meets in order) or anywhere."""
+    keys: list[int] = []
+    for block in draw(st.lists(st.lists(st.integers(0, 12), max_size=9), max_size=8)):
+        block = sorted(block)
+        if keys and block and draw(st.booleans()):
+            block = [k + keys[-1] for k in block]
+        keys.extend(block)
+    return keys
+
+
+@given(_sorted_blocks())
+@settings(max_examples=300)
+def test_inversions_sorted_blocks_match_quadratic_oracle(keys):
+    assert inversions(Sequence.from_keys(keys)) == quad_inversions(keys)
+
+
+def test_inversions_equal_keys_across_a_pair_boundary():
+    # keys[mid - 1] == keys[mid] at a merge boundary: ties copy straight through.
+    for keys in ([1, 2, 2, 3], [2, 2, 1, 2, 2], [0, 5, 5, 9, 5, 5, 5, 5], [3, 3, 3, 1, 3], [4, 1, 4, 4, 0, 4, 4, 4]):
+        assert inversions(Sequence.from_keys(keys)) == quad_inversions(keys), keys
+
+
+def test_inversions_trivial_shapes():
+    for keys in ([], [7], list(range(40)), list(range(40, 0, -1)), [5] * 33):
+        assert inversions(Sequence.from_keys(keys)) == quad_inversions(keys), keys
 
 
 def test_max_displacement_examples():

@@ -34,7 +34,7 @@ STRATEGIES = [PivotStrategy("median"), PivotStrategy("randmid", 3), PivotStrateg
 
 def ref_sort(seq):
     """Reference stable sort by key only."""
-    return Sequence(sorted(seq.items, key=lambda it: it.key))
+    return Sequence(sorted(seq.items, key=lambda it: it[0]))
 
 
 def rank_key(keys, rank):
@@ -73,9 +73,9 @@ def test_partition_property(keys, pivot):
     s = Sequence.from_keys(keys)
     m = Meter()
     less, equal, greater = stable_three_way_partition(s, pivot, m)
-    assert all(it.key < pivot for it in less)
-    assert all(it.key == pivot for it in equal)
-    assert all(it.key > pivot for it in greater)
+    assert all(key < pivot for key, _ in less)
+    assert all(key == pivot for key, _ in equal)
+    assert all(key > pivot for key, _ in greater)
     rebuilt = list(less) + list(equal) + list(greater)
     assert sorted(rebuilt) == sorted(s.items)
     for part in (less, equal, greater):
