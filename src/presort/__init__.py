@@ -13,7 +13,6 @@ from .census import (
     census_worst_cases,
     enumerate_census,
     type_count_lower_bound,
-    worst_case_over_class,
 )
 from .core import (
     KEY_MAX,
@@ -102,5 +101,4 @@ __all__ = [
     "stable_three_way_partition",
     "type_count_lower_bound",
     "verify_sorted_stable_permutation",
-    "worst_case_over_class",
 ]

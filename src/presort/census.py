@@ -125,30 +125,14 @@ def enumerate_census(n: int) -> list[CensusRow]:
     return rows
 
 
-def worst_case_over_class(n: int, sizes, strategy: PivotStrategy) -> int:
-    """Max partition_sort comparisons over every permutation of the type.
-
-    The strategy's seed is reused for each member, so randomized pivots
-    act as one fixed deterministic procedure across the class and the
-    information bound ceil(log2 nu) applies to the result.
-    """
-    _check_worst_case_n(n)
-    target = tuple(sorted(sizes, reverse=True))
-    worst = -1
-    for perm in permutations(range(n)):
-        if _type_of_permutation(perm) != target:
-            continue
-        seq = Sequence.from_keys(v + 1 for v in perm)
-        outcome = partition_sort(seq, strategy, Meter())
-        if outcome.comparisons > worst:
-            worst = outcome.comparisons
-    if worst < 0:
-        raise ValueError(f"no permutation of n={n} has type {target}")
-    return worst
-
-
 def census_worst_cases(n: int, strategy: PivotStrategy) -> dict[tuple[int, ...], int]:
-    """worst_case_over_class for every realizable type in one sweep."""
+    """Max partition_sort comparisons over each realizable type, in one sweep.
+
+    Every permutation of 1..n is sorted once and charged to its type.  The
+    strategy's seed is reused for each member, so randomized pivots act as
+    one fixed deterministic procedure across every class and the
+    information bound ceil(log2 nu) applies to each result.
+    """
     _check_worst_case_n(n)
     worst: dict[tuple[int, ...], int] = {}
     for perm in permutations(range(n)):

@@ -27,6 +27,7 @@ from .core import (
 from .generators import FAMILIES, GenSpec, GenerationError, generate
 from .measures import Profile, profile
 from .sorters import (
+    PIVOT_KINDS,
     PivotStrategy,
     SortOutcome,
     blocked_sort,
@@ -44,8 +45,7 @@ BENCH_HEADER = "family,n,param,algo,pivot,seed,comparisons,moves,bound_B,entropy
 CENSUS_HEADER = "type,nu,eq1_rhs,applicable,info_bits,worst_case_comparisons"
 PROFILE_HEADER = "n,k,sizes,entropy_H,bound_B,inversions,displacement,runs,distinct_keys"
 
-PIVOTS = ("median", "randmid", "fr")
-BENCH_ALGOS = ("psort-median", "psort-randmid", "psort-fr", "blocked", "insertion", "natmerge")
+BENCH_ALGOS = tuple(f"psort-{kind}" for kind in PIVOT_KINDS) + ("blocked", "insertion", "natmerge")
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sort", help="sort an input file with a chosen algorithm")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--algo", required=True, choices=("psort", "blocked", "insertion", "natmerge"))
-    p.add_argument("--pivot", choices=PIVOTS, default="median")
+    p.add_argument("--pivot", choices=PIVOT_KINDS, default="median")
     p.add_argument("--k", type=int, help="window parameter (blocked)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the sorted sequence here")
@@ -229,24 +229,17 @@ def _bench_param(spec: GenSpec) -> str:
     return ""
 
 
-def _run_algo(algo: str, seq: Sequence, args, seed: int) -> tuple[SortOutcome, str]:
-    """Run one bench algorithm token; returns (outcome, pivot_label)."""
-    if algo.startswith("psort-"):
-        pivot = algo.split("-", 1)[1]
-        if pivot not in PIVOTS:
-            raise _UsageError(f"unknown algo {algo!r}")
-        outcome = partition_sort(seq, PivotStrategy(pivot, seed), Meter())
-        return outcome, pivot
+def _run_sorter(algo: str, pivot: str, seq: Sequence, k: Optional[int], seed: int) -> SortOutcome:
+    """Run one sorter on seq with a fresh Meter; pivot and seed steer psort."""
+    if algo == "psort":
+        return partition_sort(seq, PivotStrategy(pivot, seed), Meter())
     if algo == "blocked":
-        k = args.k
         if k is None:
             raise _UsageError("blocked needs --k")
-        return blocked_sort(seq, k, Meter()), ""
+        return blocked_sort(seq, k, Meter())
     if algo == "insertion":
-        return insertion_sort(seq, Meter()), ""
-    if algo == "natmerge":
-        return natural_merge_sort(seq, Meter()), ""
-    raise _UsageError(f"unknown algo {algo!r}")
+        return insertion_sort(seq, Meter())
+    return natural_merge_sort(seq, Meter())
 
 
 def _write_lines(path: Optional[str], lines: list[str]) -> None:
@@ -293,16 +286,7 @@ def cmd_sort(args) -> int:
         print(f"presort sort: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
-        if args.algo == "psort":
-            outcome = partition_sort(seq, PivotStrategy(args.pivot, args.seed), Meter())
-        elif args.algo == "blocked":
-            if args.k is None:
-                raise _UsageError("blocked needs --k")
-            outcome = blocked_sort(seq, args.k, Meter())
-        elif args.algo == "insertion":
-            outcome = insertion_sort(seq, Meter())
-        else:
-            outcome = natural_merge_sort(seq, Meter())
+        outcome = _run_sorter(args.algo, args.pivot, seq, args.k, args.seed)
     except (_UsageError, ValueError) as exc:
         print(f"presort sort: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -345,9 +329,10 @@ def cmd_bench(args) -> int:
                     spec = _bench_genspec(family, n, args, seed)
                     seq = generate(spec)
                     prof = profile(seq)
-                    for algo in args.algos:
+                    for token in args.algos:
+                        algo, _, pivot = token.partition("-")
                         t0 = time.perf_counter_ns()
-                        outcome, pivot = _run_algo(algo, seq, args, seed)
+                        outcome = _run_sorter(algo, pivot, seq, args.k, seed)
                         elapsed = 0 if args.no_time else time.perf_counter_ns() - t0
                         ratio = outcome.comparisons / prof.bound if prof.bound else 0.0
                         rows.append(
@@ -355,7 +340,7 @@ def cmd_bench(args) -> int:
                                 family=family,
                                 n=n,
                                 param=_bench_param(spec),
-                                algo=algo.split("-", 1)[0] if algo.startswith("psort-") else algo,
+                                algo=algo,
                                 pivot=pivot,
                                 seed=seed,
                                 comparisons=outcome.comparisons,

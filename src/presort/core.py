@@ -85,49 +85,19 @@ class Sequence:
 class Meter:
     """Counts key comparisons and item moves for one algorithm run.
 
-    Counters only ever go up.  Algorithms route every key-vs-key test
-    through a Meter, either one call at a time (`less`, `greater`, `cmp3`)
-    or through the bulk helpers their hot loops use.  Setting `trace` to a
-    list switches every caller onto the one-call-per-test path and records
-    each evaluated key pair, so a test can assert len(trace) equals the
-    comparison counter exactly.
+    Counters only ever go up.  Each kernel tallies the key tests of its
+    schedule in a local and adds them here in bulk.  A kernel that executes
+    something cheaper than its schedule (a binary search, an unrolled group
+    sort, a built-in sort of two runs) still charges the schedule exactly;
+    the tests check every charge against keys that count the comparisons
+    actually made on them.
     """
 
-    __slots__ = ("comparisons", "moves", "trace")
+    __slots__ = ("comparisons", "moves")
 
     def __init__(self) -> None:
         self.comparisons = 0
         self.moves = 0
-        self.trace: Optional[list[tuple[int, int]]] = None
-
-    # -- single counted tests ------------------------------------------------
-
-    def less(self, a: int, b: int) -> bool:
-        self.comparisons += 1
-        if self.trace is not None:
-            self.trace.append((a, b))
-        return a < b
-
-    def less_equal(self, a: int, b: int) -> bool:
-        self.comparisons += 1
-        if self.trace is not None:
-            self.trace.append((a, b))
-        return a <= b
-
-    def greater(self, a: int, b: int) -> bool:
-        self.comparisons += 1
-        if self.trace is not None:
-            self.trace.append((a, b))
-        return a > b
-
-    def cmp3(self, a: int, b: int) -> int:
-        """Three-way compare: -1, 0, or +1.  Charges 1 test when a < b,
-        otherwise a second test decides between equal and greater."""
-        if self.less(a, b):
-            return -1
-        return 1 if self.greater(a, b) else 0
-
-    # -- bulk counted scan (hot path; trace falls back to single tests) -----
 
     def first_descent(self, keys: list) -> int:
         """Index of the first adjacent descent in keys, or -1 if none.
@@ -136,11 +106,6 @@ class Meter:
         keys[i+1], charging one comparison per pair examined: i+1 tests
         when the descent is at pair i, len(keys)-1 when already sorted.
         """
-        if self.trace is not None:
-            for i in range(len(keys) - 1):
-                if self.greater(keys[i], keys[i + 1]):
-                    return i
-            return -1
         prev = None
         for i, k in enumerate(keys):
             if prev is not None and prev > k:

@@ -181,14 +181,16 @@ def profile(s: Sequence) -> Profile:
     sizes = decompose_maximal(s, order).size_multiset()
     displacement = max_displacement(s, order)
     del order  # inversions builds its own merge arrays; keep the peak down
+    # A single run has no inversions, so its scan need not run twice.
+    runs = count_runs(s)
     return Profile(
         n=n,
         sizes=sizes,
         block_count=len(sizes),
         entropy=entropy(sizes, n),
         bound=entropy_bound(sizes, n),
-        inversions=inversions(s),
+        inversions=inversions(s) if runs > 1 else 0,
         displacement=displacement,
-        runs=count_runs(s),
+        runs=runs,
         distinct_keys=len(set(s.keys())),
     )

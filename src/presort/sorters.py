@@ -11,11 +11,11 @@ overlapping 2k-wide windows, which sorts any input whose items all sit
 within k slots of their final position.
 
 Every key test inside any routine here is charged to the caller's Meter.
-Hot loops carry a fast path and a one-call-per-test path used when the
-meter is tracing.  A fast path may execute different operations (a binary
-search, an unrolled group sort, a built-in sort of two runs) but charges
-exactly the comparisons of the per-test schedule, so both paths report
-identical counts.
+Each kernel exists once and charges its tests in bulk.  Most charge exactly
+the tests they execute.  A few execute something cheaper (a binary search,
+an unrolled group sort, a built-in sort of two runs) but charge exactly the
+schedule of the plain per-test loop they stand for; the tests hold them to
+what that loop executes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress, count, islice
+from operator import gt, itemgetter
 from typing import Optional
 
 from .core import Item, Meter, Sequence
@@ -114,25 +115,20 @@ def _partition3_items(items: list[Item], pivot_key: int, m: Meter):
     lo: list[Item] = []
     eq: list[Item] = []
     hi: list[Item] = []
-    if m.trace is not None:
-        for it in items:
-            c = m.cmp3(it[0], pivot_key)
-            (lo if c < 0 else hi if c > 0 else eq).append(it)
-    else:
-        c = 0
-        push_lo, push_eq, push_hi = lo.append, eq.append, hi.append
-        for it in items:
-            k = it[0]
-            if k < pivot_key:
-                c += 1
-                push_lo(it)
-            elif k > pivot_key:
-                c += 2
-                push_hi(it)
-            else:
-                c += 2
-                push_eq(it)
-        m.comparisons += c
+    c = 0
+    push_lo, push_eq, push_hi = lo.append, eq.append, hi.append
+    for it in items:
+        k = it[0]
+        if k < pivot_key:
+            c += 1
+            push_lo(it)
+        elif k > pivot_key:
+            c += 2
+            push_hi(it)
+        else:
+            c += 2
+            push_eq(it)
+    m.comparisons += c
     m.moves += len(items)
     return lo, eq, hi
 
@@ -143,48 +139,47 @@ def stable_three_way_partition(s: Sequence, pivot_key: int, m: Meter):
     return Sequence(lo), Sequence(eq), Sequence(hi)
 
 
-def _split3_keys(keys: list[int], pivot: int, m: Meter):
-    """Key-only three-way split; returns (below, equal_count, above)."""
+def _split3_keys(keys: list[int], u: int, v: int, m: Meter):
+    """Split keys into (< u, [u..v], > v), keeping order; u <= v.
+
+    One test settles "below u", a second separates "above v" from the
+    middle.  With u == v this is the three-way split around one pivot.
+    """
     lo: list[int] = []
+    mid: list[int] = []
     hi: list[int] = []
-    eq = 0
-    if m.trace is not None:
-        for k in keys:
-            c = m.cmp3(k, pivot)
-            if c < 0:
-                lo.append(k)
-            elif c > 0:
-                hi.append(k)
-            else:
-                eq += 1
-    else:
-        c = 0
-        push_lo, push_hi = lo.append, hi.append
-        for k in keys:
-            if k < pivot:
-                c += 1
-                push_lo(k)
-            elif k > pivot:
-                c += 2
-                push_hi(k)
-            else:
-                c += 2
-                eq += 1
-        m.comparisons += c
-    return lo, eq, hi
+    c = 0
+    push_lo, push_mid, push_hi = lo.append, mid.append, hi.append
+    for k in keys:
+        if k < u:
+            c += 1
+            push_lo(k)
+        elif k > v:
+            c += 2
+            push_hi(k)
+        else:
+            c += 2
+            push_mid(k)
+    m.comparisons += c
+    return lo, mid, hi
 
 
 def _insertion_sort_keys(keys: list[int], m: Meter) -> None:
     # In-place counted insertion sort for the tiny groups inside selection.
-    # Its one-call-per-test schedule is the charge _group_medians must
-    # reproduce exactly, whatever operations that kernel executes.
+    # Its schedule is the charge _group_medians must reproduce exactly,
+    # whatever operations that kernel executes.
+    c = 0
     for i in range(1, len(keys)):
         x = keys[i]
         j = i
-        while j > 0 and m.greater(keys[j - 1], x):
+        while j > 0:
+            c += 1
+            if not keys[j - 1] > x:
+                break
             keys[j] = keys[j - 1]
             j -= 1
         keys[j] = x
+    m.comparisons += c
 
 
 def _group_medians(keys: list[int], m: Meter) -> list[int]:
@@ -239,136 +234,73 @@ def _group_medians(keys: list[int], m: Meter) -> list[int]:
     return medians
 
 
-def _merge_items(left: list[Item], right: list[Item], m: Meter) -> list[Item]:
-    """Stable counted merge: ties take from the left."""
-    la, lb = len(left), len(right)
-    out: list[Item] = []
-    i = j = 0
-    if m.trace is not None:
-        while i < la and j < lb:
-            if m.less_equal(left[i][0], right[j][0]):
-                out.append(left[i])
-                i += 1
-            else:
-                out.append(right[j])
-                j += 1
-    else:
-        c = 0
-        push = out.append
-        while i < la and j < lb:
-            c += 1
-            if left[i][0] <= right[j][0]:
-                push(left[i])
-                i += 1
-            else:
-                push(right[j])
-                j += 1
-        m.comparisons += c
-    out.extend(left[i:])
-    out.extend(right[j:])
-    m.moves += la + lb
-    return out
+def _merge_runs(runs: list[list[Item]], m: Meter) -> list[Item]:
+    """Stable counted merge of consecutive runs, pairwise round by round.
 
-
-def _merge_sort_items(items: list[Item], m: Meter) -> list[Item]:
-    """Bottom-up stable mergesort; at most len*ceil(log2 len) comparisons."""
-    n = len(items)
-    if n <= 1:
-        return list(items)
-    a = list(items)
-    width = 1
-    trace = m.trace is not None
-    while width < n:
-        out: list[Item] = []
-        push = out.append
-        c = moved = 0
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            if mid == hi:
-                out.extend(a[lo:hi])
-                continue
-            i, j = lo, mid
-            if trace:
-                while i < mid and j < hi:
-                    if m.less_equal(a[i][0], a[j][0]):
-                        push(a[i])
-                        i += 1
-                    else:
-                        push(a[j])
-                        j += 1
-            else:
-                while i < mid and j < hi:
-                    c += 1
-                    if a[i][0] <= a[j][0]:
-                        push(a[i])
-                        i += 1
-                    else:
-                        push(a[j])
-                        j += 1
-            out.extend(a[i:mid])
-            out.extend(a[j:hi])
-            moved += hi - lo
-        if not trace:
-            m.comparisons += c
-        m.moves += moved
-        a = out
-        width *= 2
-    return a
+    Each round merges runs 0+1, 2+3, ... with the left-biased loop (ties
+    take from the left) and carries an odd last run over uncharged.  On
+    singletons this is bottom-up mergesort: at most len*ceil(log2 len)
+    comparisons.  Every merged item is one move.  Needs at least one run.
+    """
+    c = moved = 0
+    while len(runs) > 1:
+        merged = []
+        for r in range(1, len(runs), 2):
+            left, right = runs[r - 1], runs[r]
+            la, lb = len(left), len(right)
+            out: list[Item] = []
+            push = out.append
+            i = j = 0
+            while i < la and j < lb:
+                c += 1
+                if left[i][0] <= right[j][0]:
+                    push(left[i])
+                    i += 1
+                else:
+                    push(right[j])
+                    j += 1
+            out.extend(left[i:])
+            out.extend(right[j:])
+            moved += la + lb
+            merged.append(out)
+        if len(runs) % 2:
+            merged.append(runs[-1])
+        runs = merged
+    m.comparisons += c
+    m.moves += moved
+    return runs[0]
 
 
 def _merge_sort_keys(keys: list[int], m: Meter) -> list[int]:
     """Counted bottom-up mergesort on bare keys (selection scratch work).
 
-    The fast path merges each pair of runs A, B with sorted(A + B) and
-    charges what the left-biased merge loop (the trace path) tests before
-    one run is used up: every key of the run that ends first, plus the keys
-    of the other run that the merge outputs before that run's last key.
+    Merges each pair of runs A, B with sorted(A + B) and charges what the
+    left-biased merge loop of _merge_runs tests before one run is used up:
+    every key of the run that ends first, plus the keys of the other run
+    that the merge outputs before that run's last key.
     """
     n = len(keys)
     if n <= 1:
         return list(keys)
-    if m.trace is None:
-        it = iter(keys)
-        runs = [[x, y] if x <= y else [y, x] for x, y in zip(it, it)]
-        if n % 2:
-            runs.append([keys[-1]])
-        c = n // 2
-        while len(runs) > 1:
-            merged = []
-            for i in range(0, len(runs) - 1, 2):
-                a, b = runs[i], runs[i + 1]
-                if a[-1] <= b[-1]:
-                    c += len(a) + bisect_left(b, a[-1])
-                else:
-                    c += len(b) + bisect_right(a, b[-1])
-                merged.append(sorted(a + b))
-            if len(runs) % 2:
-                merged.append(runs[-1])
-            runs = merged
-        m.comparisons += c
-        return runs[0]
-    a = list(keys)
-    width = 1
-    while width < n:
-        out: list[int] = []
-        push = out.append
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j = lo, mid
-            while i < mid and j < hi:
-                if m.less_equal(a[i], a[j]):
-                    push(a[i])
-                    i += 1
-                else:
-                    push(a[j])
-                    j += 1
-            out.extend(a[i:mid])
-            out.extend(a[j:hi])
-        a = out
-        width *= 2
-    return a
+    it = iter(keys)
+    runs = [[x, y] if x <= y else [y, x] for x, y in zip(it, it)]
+    if n % 2:
+        runs.append([keys[-1]])
+    c = n // 2
+    while len(runs) > 1:
+        merged = []
+        for i in range(0, len(runs) - 1, 2):
+            a, b = runs[i], runs[i + 1]
+            if a[-1] <= b[-1]:
+                c += len(a) + bisect_left(b, a[-1])
+            else:
+                c += len(b) + bisect_right(a, b[-1])
+            merged.append(sorted(a + b))
+        if len(runs) % 2:
+            merged.append(runs[-1])
+        runs = merged
+    m.comparisons += c
+    return runs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,22 +317,15 @@ def _select_kth_key(keys: list[int], k: int, m: Meter) -> int:
         if n <= 5:
             _insertion_sort_keys(keys, m)
             return keys[k - 1]
-        if m.trace is None:
-            medians = _group_medians(keys, m)
-        else:
-            medians = []
-            for g in range(0, n, 5):
-                group = keys[g : g + 5]
-                _insertion_sort_keys(group, m)
-                medians.append(group[(len(group) - 1) // 2])
+        medians = _group_medians(keys, m)
         pivot = _select_kth_key(medians, (len(medians) + 1) // 2, m)
-        lo, eq, hi = _split3_keys(keys, pivot, m)
+        lo, eq, hi = _split3_keys(keys, pivot, pivot, m)
         if k <= len(lo):
             keys = lo
-        elif k <= len(lo) + eq:
+        elif k <= len(lo) + len(eq):
             return pivot
         else:
-            k -= len(lo) + eq
+            k -= len(lo) + len(eq)
             keys = hi
 
 
@@ -413,20 +338,6 @@ def select_exact_median(s: Sequence, m: Meter) -> int:
     if s.n == 0:
         raise ValueError("median of empty sequence")
     return _select_kth_key(s.keys(), (s.n + 1) // 2, m)
-
-
-def _count_below_skip(keys: list[int], skip: int, cand: int, m: Meter) -> int:
-    # Rank check for one sampled candidate: n-1 charged comparisons.
-    if m.trace is not None:
-        below = 0
-        for i, k in enumerate(keys):
-            if i != skip and m.less(k, cand):
-                below += 1
-        return below
-    m.comparisons += len(keys) - 1
-    # The candidate compares equal to itself, so scanning the full list
-    # with a strict test gives the same count as skipping it.
-    return sum(1 for k in keys if k < cand)
 
 
 def select_random_middle(s: Sequence, rng: random.Random, m: Meter) -> tuple[int, int]:
@@ -451,7 +362,11 @@ def select_random_middle(s: Sequence, rng: random.Random, m: Meter) -> tuple[int
     for rejected in range(RANDOM_MIDDLE_ATTEMPT_CAP):
         idx = rng.randrange(n)
         cand = keys[idx]
-        rank = _count_below_skip(keys, idx, cand, m) + 1
+        # The rank check charges n-1 tests, one per other element.  The
+        # candidate is not below itself, so one scan of all n keys counts
+        # the same.
+        m.comparisons += n - 1
+        rank = sum(1 for k in keys if k < cand) + 1
         if lo_rank <= rank <= hi_rank:
             return cand, rejected
     return _select_kth_key(keys, (n + 1) // 2, m), RANDOM_MIDDLE_ATTEMPT_CAP
@@ -459,36 +374,6 @@ def select_random_middle(s: Sequence, rng: random.Random, m: Meter) -> tuple[int
 
 # Below this size, sampling selection just sorts its input.
 _FR_SMALL = 64
-
-
-def _fr_split(keys: list[int], u: int, v: int, m: Meter):
-    """Split into (< u, [u..v], > v) charging 1 test below u, else 2."""
-    lo: list[int] = []
-    mid: list[int] = []
-    hi: list[int] = []
-    if m.trace is not None:
-        for k in keys:
-            if m.less(k, u):
-                lo.append(k)
-            elif m.greater(k, v):
-                hi.append(k)
-            else:
-                mid.append(k)
-    else:
-        c = 0
-        push_lo, push_mid, push_hi = lo.append, mid.append, hi.append
-        for k in keys:
-            if k < u:
-                c += 1
-                push_lo(k)
-            elif k > v:
-                c += 2
-                push_hi(k)
-            else:
-                c += 2
-                push_mid(k)
-        m.comparisons += c
-    return lo, mid, hi
 
 
 def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int, int]:
@@ -520,7 +405,7 @@ def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int,
         iu = max(0, int(t) - margin)
         iv = min(size - 1, int(t) + margin)
         u, v = sample[iu], sample[iv]
-        lo, mid, hi = _fr_split(keys, u, v, m)
+        lo, mid, hi = _split3_keys(keys, u, v, m)
         if k <= len(lo):
             keys = lo
             misses += 1
@@ -549,21 +434,9 @@ def _insertion_items(items: list[Item], m: Meter) -> list[Item]:
     test, except when it travels all the way to the front.  Total is at
     most n-1 plus the inversion count.  The fast path finds each insertion
     point by binary search and shifts with C-level list inserts while
-    charging exactly the linear-scan schedule.
+    charging exactly the linear-scan schedule of _insertion_sort_keys, and
+    one move per slot jumped plus one for the landing.
     """
-    if m.trace is not None:
-        a = list(items)
-        for i in range(1, len(a)):
-            x = a[i]
-            j = i
-            while j > 0 and m.greater(a[j - 1][0], x[0]):
-                a[j] = a[j - 1]
-                m.moves += 1
-                j -= 1
-            a[j] = x
-            if j != i:
-                m.moves += 1
-        return a
     out: list[Item] = []
     keys: list[int] = []
     c = moves = 0
@@ -600,29 +473,10 @@ def natural_merge_sort(s: Sequence, m: Optional[Meter] = None) -> SortOutcome:
     items = list(s.items)
     n = len(items)
     if n > 1:
-        runs: list[list[Item]] = []
-        start = 0
-        if m.trace is not None:
-            for i in range(n - 1):
-                if m.greater(items[i][0], items[i + 1][0]):
-                    runs.append(items[start : i + 1])
-                    start = i + 1
-        else:
-            prev = items[0][0]
-            for i in range(1, n):
-                k = items[i][0]
-                if prev > k:
-                    runs.append(items[start:i])
-                    start = i
-                prev = k
-            m.comparisons += n - 1
-        runs.append(items[start:])
-        while len(runs) > 1:
-            runs = [
-                _merge_items(runs[i], runs[i + 1], m) if i + 1 < len(runs) else runs[i]
-                for i in range(0, len(runs), 2)
-            ]
-        items = runs[0]
+        keys = list(map(itemgetter(0), items))
+        starts = [0, *compress(count(1), map(gt, keys, islice(keys, 1, None))), n]
+        m.comparisons += n - 1
+        items = _merge_runs([items[a:b] for a, b in zip(starts, islice(starts, 1, None))], m)
     return SortOutcome(Sequence(items), m.comparisons - c0, m.moves - v0)
 
 
@@ -694,10 +548,9 @@ def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
         raise ValueError(f"window parameter k={k} out of range for n={n}")
     c0, v0 = m.comparisons, m.moves
     items = list(s.items)
-    for lo in range(0, n, 2 * k):
-        items[lo : lo + 2 * k] = _merge_sort_items(items[lo : lo + 2 * k], m)
-    for lo in range(k, n, 2 * k):
-        items[lo : lo + 2 * k] = _merge_sort_items(items[lo : lo + 2 * k], m)
+    for first in (0, k):
+        for lo in range(first, n, 2 * k):
+            items[lo : lo + 2 * k] = _merge_runs([[it] for it in items[lo : lo + 2 * k]], m)
     keys = list(map(itemgetter(0), items))
     is_sorted = all(keys[i] <= keys[i + 1] for i in range(n - 1))
     return SortOutcome(

@@ -9,12 +9,11 @@ from presort.census import (
     census_worst_cases,
     enumerate_census,
     type_count_lower_bound,
-    worst_case_over_class,
     _type_of_permutation,
 )
-from presort.core import Sequence
+from presort.core import Meter, Sequence
 from presort.measures import decompose_maximal
-from presort.sorters import PivotStrategy
+from presort.sorters import PivotStrategy, partition_sort
 
 
 def census_dict(n):
@@ -92,39 +91,33 @@ def test_count_bound_matches_census_column():
 
 
 def test_worst_case_identity_class_costs_n_minus_1():
-    assert worst_case_over_class(3, (3,), PivotStrategy("median")) == 2
-    assert worst_case_over_class(5, (5,), PivotStrategy("median")) == 4
+    assert census_worst_cases(3, PivotStrategy("median"))[(3,)] == 2
+    assert census_worst_cases(5, PivotStrategy("median"))[(5,)] == 4
 
 
 def test_worst_case_meets_information_bound():
     strat = PivotStrategy("median")
     for n in (3, 4, 5):
+        worst = census_worst_cases(n, strat)
         for row in enumerate_census(n):
-            wc = worst_case_over_class(n, row.sizes, strat)
+            wc = worst[row.sizes]
             assert wc >= row.info_bits, (n, row.sizes, wc, row.nu)
 
 
-def test_worst_case_accepts_any_size_order():
-    a = worst_case_over_class(4, (1, 3), PivotStrategy("median"))
-    b = worst_case_over_class(4, (3, 1), PivotStrategy("median"))
-    assert a == b
-
-
-def test_worst_case_unrealizable_type():
-    with pytest.raises(ValueError):
-        worst_case_over_class(4, (4, 4), PivotStrategy("median"))
-
-
 def test_worst_case_n_capped():
-    with pytest.raises(ValueError):
-        worst_case_over_class(MAX_WORST_CASE_N + 1, (9,), PivotStrategy("median"))
     with pytest.raises(ValueError):
         census_worst_cases(MAX_WORST_CASE_N + 1, PivotStrategy("median"))
 
 
 def test_census_worst_cases_single_sweep_matches_per_class():
+    """Each type's worst case equals a brute-force max over its members."""
     strat = PivotStrategy("randmid", seed=5)
     sweep = census_worst_cases(5, strat)
     assert set(sweep) == set(census_dict(5))
-    for sizes, wc in sweep.items():
-        assert wc == worst_case_over_class(5, sizes, strat)
+    brute: dict[tuple[int, ...], int] = {}
+    for perm in permutations(range(1, 6)):
+        seq = Sequence.from_keys(perm)
+        sizes = decompose_maximal(seq).size_multiset()
+        cost = partition_sort(seq, strat, Meter()).comparisons
+        brute[sizes] = max(brute.get(sizes, -1), cost)
+    assert sweep == brute

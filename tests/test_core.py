@@ -18,6 +18,7 @@ from presort.core import (
     verify_sorted_stable_permutation,
 )
 
+from counting import counting_keys, executed
 from vectors import SWAPPED_PAIRS16
 
 
@@ -70,21 +71,12 @@ def test_sorted_check_agrees_with_python(keys):
 
 @given(st.lists(st.integers(-50, 50), max_size=60))
 def test_first_descent_trace_matches_fast_path(keys):
-    traced = Meter()
-    traced.trace = []
-    fast = Meter()
-    assert traced.first_descent(list(keys)) == fast.first_descent(list(keys))
-    assert traced.comparisons == len(traced.trace) == fast.comparisons
-
-
-def test_meter_cmp3_charges_one_or_two():
+    """The charge equals the tests the scan executes, and the index is right."""
     m = Meter()
-    assert m.cmp3(1, 2) == -1
-    assert m.comparisons == 1
-    assert m.cmp3(2, 1) == 1
-    assert m.comparisons == 3
-    assert m.cmp3(2, 2) == 0
-    assert m.comparisons == 5
+    got, tests = executed(m.first_descent, counting_keys(keys))
+    want = next((i for i in range(len(keys) - 1) if keys[i] > keys[i + 1]), -1)
+    assert got == want
+    assert m.comparisons == tests
 
 
 def test_verify_accepts_stable_sort():
