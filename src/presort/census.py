@@ -1,11 +1,20 @@
-"""Exhaustive census of sorted types over all permutations of small n.
+"""Census of sorted types over all permutations of small n.
 
-For every permutation of {1..n} we record the block-size multiset of its
-maximal decomposition (its "type"), count how many permutations share
-each type, and compare that against two yardsticks: an exact counting
-lower bound on the class size from the swap-repair construction, and the
-information bound ceil(log2 nu) that any deterministic comparison sorter
-must pay in the worst case over the class.
+The type of a permutation of {1..n} is the block-size multiset of its
+maximal decomposition.  For each type the census gives its class size nu,
+counted exactly rather than enumerated, and compares it against two
+yardsticks: a counting lower bound on nu from the swap-repair argument,
+and the information bound ceil(log2 nu) that any deterministic
+comparison sorter must pay in the worst case over the class.  Worst-case
+sweeps still sort all n! inputs.
+
+The block sizes of a permutation are the ascending-run lengths of its
+inverse, and inversion is a bijection, so nu(type) is the sum, over the
+compositions of n whose parts form that multiset, of beta_n(S): the
+number of permutations whose descent set is exactly the composition's
+cut set S.  Inclusion-exclusion over coarsenings gives
+beta_n(S) = sum over T subset of S of (-1)^|S - T| * n!/prod(parts of T)!
+(Stanley, Enumerative Combinatorics I, section 1.4).
 """
 
 from __future__ import annotations
@@ -13,18 +22,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import count, permutations
 from typing import Optional
 
 from .core import Meter, Sequence
 from .sorters import PivotStrategy, partition_sort
 
-# Full enumeration cost is n! * O(n); past n = 10 it stops being a census
-# and starts being a space heater.
+# Counting a census sums 3^(n-1) signed multinomials (19683 at n = 10).
 MAX_CENSUS_N = 10
 
-# Worst-case sweeps additionally sort every permutation, so they cut off
-# earlier than plain enumeration.
+# Worst-case sweeps sort every one of the n! permutations, so they cut
+# off earlier than the counted census.
 MAX_WORST_CASE_N = 8
 
 
@@ -32,7 +40,7 @@ MAX_WORST_CASE_N = 8
 class CensusRow:
     """One sorted type: its class size and the bounds attached to it.
 
-    count_bound is the exact counting lower bound on nu, or None where the
+    count_bound is the counting lower bound on nu, or None where the
     formula's domain (2k <= n) excludes the type.  info_bits is
     ceil(log2 nu).  worst_case is filled in by census runs that actually
     sort every class member; otherwise None.
@@ -46,13 +54,18 @@ class CensusRow:
 
 
 def type_count_lower_bound(n: int, sizes) -> float:
-    """Exact lower bound on how many permutations share a block-size type.
+    """Lower bound on how many permutations share a block-size type.
 
-    With k blocks of the given sizes, the interleavings number the
-    multinomial n!/(prod sizes!), each fixable into a valid maximal layout
-    by local boundary swaps; dividing the overcount by choose(n, 2k)/k!
-    leaves  multinomial * k! / C(n, 2k).  Exact integer arithmetic, float
-    result.  Defined only when 2k <= n.
+    multinomial / (k! * C(n, 2k)) for k blocks, multinomial =
+    n!/(prod sizes!), defined only when 2k <= n.  Swap-repair: nu counts
+    the permutations whose ascending runs have these sizes in some order.
+    Put the s runs of size 1 last; the multinomial counts the fillings of
+    that layout with every run increasing.  Sorting each window that spans
+    a run boundary into decreasing order gives a permutation of exactly
+    this type, and with k - s - 1 windows of 2 and one of s + 1, at most
+    2^(k-s-1) * (s+1)! <= k! fillings give the same one.  So
+    nu >= multinomial / k!, and the factor C(n, 2k) >= 1 only loosens it.
+    Exact integer arithmetic, float result.
     """
     sizes = list(sizes)
     if not sizes or any(b <= 0 for b in sizes):
@@ -65,25 +78,23 @@ def type_count_lower_bound(n: int, sizes) -> float:
     multinomial = math.factorial(n)
     for b in sizes:
         multinomial //= math.factorial(b)
-    return multinomial * math.factorial(k) / math.comb(n, 2 * k)
+    return multinomial / (math.factorial(k) * math.comb(n, 2 * k))
 
 
 def _type_of_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Block-size multiset of one permutation of 0..n-1, non-increasing.
+    """Block-size multiset of one permutation of 1..n, non-increasing.
 
-    Inlined inverse-and-chain walk so full censuses stay affordable; the
-    tests hold it equal to decompose_maximal on every permutation of
+    Inlined inverse-and-chain walk so worst-case sweeps stay affordable;
+    the tests hold it equal to decompose_maximal on every permutation of
     small n.
     """
-    n = len(perm)
-    pos = [0] * n
+    pos = [0] * (len(perm) + 1)
     for i, v in enumerate(perm):
         pos[v] = i
     sizes = []
     size = 1
-    last = pos[0]
-    for v in range(1, n):
-        p = pos[v]
+    last = pos[1]
+    for p in pos[2:]:
         if p > last:
             size += 1
         else:
@@ -107,13 +118,30 @@ def _check_worst_case_n(n: int) -> None:
 def enumerate_census(n: int) -> list[CensusRow]:
     """Census every permutation of {1..n}; one row per realized type.
 
-    Rows come back ordered by block count, then lexicographically by the
-    size tuple.  The nu column always sums to n! over the whole list.
+    nu is counted, not enumerated: beta_n(S) of the module docstring for
+    each of the 2^(n-1) cut sets S, 3^(n-1) signed terms in all.  Rows come
+    back ordered by block count, then lexicographically by the size tuple.
+    The nu column always sums to n! over the whole list.
     """
     _check_census_n(n)
+    fact = [math.factorial(i) for i in range(n + 1)]
+    compositions = []
+    for cuts in range(1 << (n - 1)):
+        # Bit i of cuts ends a part after position i + 1.
+        ends = [i + 1 for i in range(n - 1) if cuts >> i & 1] + [n]
+        compositions.append([b - a for a, b in zip([0] + ends, ends)])
+    # Permutations whose descent set lies within each cut set.
+    within = [fact[n] // math.prod(fact[b] for b in parts) for parts in compositions]
     counts: Counter[tuple[int, ...]] = Counter()
-    for perm in permutations(range(n)):
-        counts[_type_of_permutation(perm)] += 1
+    for cuts, parts in enumerate(compositions):
+        exact = 0
+        sub = cuts
+        while True:
+            exact += -within[sub] if (cuts ^ sub).bit_count() & 1 else within[sub]
+            if not sub:
+                break
+            sub = (sub - 1) & cuts
+        counts[tuple(sorted(parts, reverse=True))] += exact
     rows = []
     for sizes in sorted(counts, key=lambda t: (len(t), t)):
         nu = counts[sizes]
@@ -135,10 +163,9 @@ def census_worst_cases(n: int, strategy: PivotStrategy) -> dict[tuple[int, ...],
     """
     _check_worst_case_n(n)
     worst: dict[tuple[int, ...], int] = {}
-    for perm in permutations(range(n)):
+    for perm in permutations(range(1, n + 1)):
         t = _type_of_permutation(perm)
-        seq = Sequence.from_keys(v + 1 for v in perm)
-        outcome = partition_sort(seq, strategy, Meter())
+        outcome = partition_sort(Sequence(zip(perm, count())), strategy, Meter())
         if outcome.comparisons > worst.get(t, -1):
             worst[t] = outcome.comparisons
     return worst

@@ -168,35 +168,20 @@ def _fmt_sizes(sizes) -> str:
     return "-".join(str(b) for b in sizes)
 
 
-def _profile_lines(p: Profile) -> list[str]:
+def _profile_fields(p: Profile) -> list[tuple[str, str]]:
+    """The nine profile fields as (key=value name, formatted value), in
+    PROFILE_HEADER's column order."""
     return [
-        f"n={p.n}",
-        f"k={p.block_count}",
-        f"sizes={_fmt_sizes(p.sizes)}",
-        f"H={p.entropy:.6f}",
-        f"B={p.bound:.6f}",
-        f"inversions={p.inversions}",
-        f"displacement={p.displacement}",
-        f"runs={p.runs}",
-        f"distinct={p.distinct_keys}",
+        ("n", str(p.n)),
+        ("k", str(p.block_count)),
+        ("sizes", _fmt_sizes(p.sizes)),
+        ("H", f"{p.entropy:.6f}"),
+        ("B", f"{p.bound:.6f}"),
+        ("inversions", str(p.inversions)),
+        ("displacement", str(p.displacement)),
+        ("runs", str(p.runs)),
+        ("distinct", str(p.distinct_keys)),
     ]
-
-
-def _profile_csv(p: Profile) -> list[str]:
-    row = ",".join(
-        (
-            str(p.n),
-            str(p.block_count),
-            _fmt_sizes(p.sizes),
-            f"{p.entropy:.6f}",
-            f"{p.bound:.6f}",
-            str(p.inversions),
-            str(p.displacement),
-            str(p.runs),
-            str(p.distinct_keys),
-        )
-    )
-    return [PROFILE_HEADER, row]
 
 
 def _bench_genspec(family: str, n: int, args, seed: int) -> GenSpec:
@@ -274,8 +259,12 @@ def cmd_measure(args) -> int:
     except (OSError, SequenceFormatError) as exc:
         print(f"presort measure: {exc}", file=sys.stderr)
         return EXIT_DATA
-    p = profile(seq)
-    _write_lines(None, _profile_csv(p) if args.csv else _profile_lines(p))
+    fields = _profile_fields(profile(seq))
+    if args.csv:
+        lines = [PROFILE_HEADER, ",".join(value for _, value in fields)]
+    else:
+        lines = [f"{name}={value}" for name, value in fields]
+    _write_lines(None, lines)
     return EXIT_OK
 
 

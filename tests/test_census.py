@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -28,16 +29,41 @@ def test_census_n1():
     assert census_dict(1) == {(1,): 1}
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, MAX_CENSUS_N + 1))
 def test_census_counts_sum_to_factorial(n):
     assert sum(census_dict(n).values()) == math.factorial(n)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, MAX_CENSUS_N + 1))
 def test_census_extreme_types(n):
     d = census_dict(n)
     assert d[(n,)] == 1  # identity only
     assert d[(1,) * n] == 1  # reverse only
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_census_matches_permutation_walk(n):
+    """The counted nu per type equals a walk over every permutation."""
+    walk = Counter(_type_of_permutation(perm) for perm in permutations(range(1, n + 1)))
+    assert census_dict(n) == dict(walk)
+
+
+def eulerian(n):
+    """A(n, m), permutations of n with m descents, from its recurrence."""
+    row = [1]
+    for size in range(2, n + 1):
+        padded = [0] + row + [0]
+        row = [(m + 1) * padded[m + 1] + (size - m) * padded[m] for m in range(size)]
+    return row
+
+
+@pytest.mark.parametrize("n", range(1, MAX_CENSUS_N + 1))
+def test_census_block_counts_are_eulerian(n):
+    """Types with k blocks are inverses with k - 1 descents."""
+    by_blocks = [0] * n
+    for sizes, nu in census_dict(n).items():
+        by_blocks[len(sizes) - 1] += nu
+    assert by_blocks == eulerian(n)
 
 
 def test_census_rows_canonical_and_ordered():
@@ -57,13 +83,14 @@ def test_census_n_range():
 
 def test_type_of_permutation_matches_decompose():
     for n in range(1, 7):
-        for perm in permutations(range(n)):
-            seq = Sequence.from_keys(v + 1 for v in perm)
+        for perm in permutations(range(1, n + 1)):
+            seq = Sequence.from_keys(perm)
             assert _type_of_permutation(perm) == decompose_maximal(seq).size_multiset()
 
 
 def test_count_bound_worked_value():
-    assert type_count_lower_bound(5, (3, 2)) == 4.0
+    # 5!/(3! 2!) = 10 over 2! * C(5, 4) = 10
+    assert type_count_lower_bound(5, (3, 2)) == 1.0
 
 
 def test_count_bound_single_block():

@@ -332,6 +332,42 @@ def test_census_worstcase_column(capsys):
         assert wc >= info_bits
 
 
+# `presort census --n 8 --worstcase psort-median` without its eq1_rhs
+# column, as the permutation-walk census printed it.
+CENSUS_8_MEDIAN = """\
+type,nu,applicable,info_bits,worst_case_comparisons
+8,1,true,0,7
+4-4,69,true,7,26
+5-3,110,true,7,26
+6-2,54,true,6,24
+7-1,14,true,4,20
+3-3-2,1403,true,11,29
+4-2-2,1011,true,10,29
+4-3-1,1150,true,11,28
+5-2-1,646,true,10,27
+6-1-1,83,true,7,24
+2-2-2-2,1385,true,11,30
+3-2-2-1,8660,true,14,30
+3-3-1-1,2226,true,12,29
+4-2-1-1,3080,true,12,29
+5-1-1-1,268,true,9,27
+2-2-2-1-1,7954,false,13,30
+3-2-1-1-1,7164,false,13,30
+4-1-1-1-1,501,false,9,29
+2-2-1-1-1-1,3771,false,12,30
+3-1-1-1-1-1,522,false,10,30
+2-1-1-1-1-1-1,247,false,8,30
+1-1-1-1-1-1-1-1,1,false,0,29
+"""
+
+
+def test_census_n8_worstcase_golden(capsys):
+    code, stdout, _ = run(capsys, "census", "--n", "8", "--worstcase", "psort-median")
+    assert code == 0
+    rows = [line.split(",") for line in stdout.splitlines()]
+    assert "".join(",".join(cols[:2] + cols[3:]) + "\n" for cols in rows) == CENSUS_8_MEDIAN
+
+
 def test_census_range_errors(capsys):
     assert run(capsys, "census", "--n", "11")[0] == 1
     assert run(capsys, "census", "--n", "0")[0] == 1
