@@ -56,49 +56,3 @@ from .sorters import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CensusRow",
-    "Decomposition",
-    "FAMILIES",
-    "GenSpec",
-    "GenerationError",
-    "Item",
-    "KEY_MAX",
-    "KEY_MIN",
-    "MAX_CENSUS_N",
-    "Meter",
-    "PIVOT_KINDS",
-    "PivotStrategy",
-    "Profile",
-    "Sequence",
-    "SequenceFormatError",
-    "SortOutcome",
-    "blocked_sort",
-    "census_worst_cases",
-    "count_runs",
-    "decompose_maximal",
-    "dump_sequence",
-    "entropy",
-    "entropy_bound",
-    "enumerate_census",
-    "exact_median",
-    "floyd_rivest",
-    "generate",
-    "insertion_sort",
-    "inversions",
-    "load_sequence",
-    "max_displacement",
-    "natural_merge_sort",
-    "partition_sort",
-    "profile",
-    "random_middle",
-    "realize_sorted_type",
-    "select_exact_median",
-    "select_floyd_rivest",
-    "select_random_middle",
-    "sorted_check",
-    "stable_three_way_partition",
-    "type_count_lower_bound",
-    "verify_sorted_stable_permutation",
-]

@@ -26,6 +26,7 @@ from itertools import count, permutations
 from typing import Optional
 
 from .core import Meter, Sequence
+from .measures import _check_sizes
 from .sorters import PivotStrategy, partition_sort
 
 # Counting a census sums 3^(n-1) signed multinomials (19683 at n = 10).
@@ -42,15 +43,13 @@ class CensusRow:
 
     count_bound is the counting lower bound on nu, or None where the
     formula's domain (2k <= n) excludes the type.  info_bits is
-    ceil(log2 nu).  worst_case is filled in by census runs that actually
-    sort every class member; otherwise None.
+    ceil(log2 nu).
     """
 
     sizes: tuple[int, ...]
     nu: int
     count_bound: Optional[float]
     info_bits: int
-    worst_case: Optional[int] = None
 
 
 def type_count_lower_bound(n: int, sizes) -> float:
@@ -67,11 +66,7 @@ def type_count_lower_bound(n: int, sizes) -> float:
     nu >= multinomial / k!, and the factor C(n, 2k) >= 1 only loosens it.
     Exact integer arithmetic, float result.
     """
-    sizes = list(sizes)
-    if not sizes or any(b <= 0 for b in sizes):
-        raise ValueError(f"block sizes must be positive and non-empty: {sizes}")
-    if sum(sizes) != n:
-        raise ValueError(f"block sizes sum to {sum(sizes)}, expected n={n}")
+    sizes = _check_sizes(sizes, n)
     k = len(sizes)
     if 2 * k > n:
         raise ValueError(f"bound undefined for 2k > n (k={k}, n={n})")

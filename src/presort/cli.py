@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .census import MAX_CENSUS_N, enumerate_census, census_worst_cases
@@ -48,45 +48,6 @@ PROFILE_HEADER = "n,k,sizes,entropy_H,bound_B,inversions,displacement,runs,disti
 BENCH_ALGOS = tuple(f"psort-{kind}" for kind in PIVOT_KINDS) + ("blocked", "insertion", "natmerge")
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    """One bench trial, shaped exactly like a line of the CSV output."""
-
-    family: str
-    n: int
-    param: str
-    algo: str
-    pivot: str
-    seed: int
-    comparisons: int
-    moves: int
-    bound_B: float
-    entropy_H: float
-    ratio: float
-    elapsed_ns: int
-
-    def sort_key(self):
-        return (self.family, self.n, self.algo, self.seed, self.param, self.pivot)
-
-    def csv_line(self) -> str:
-        return ",".join(
-            (
-                self.family,
-                str(self.n),
-                self.param,
-                self.algo,
-                self.pivot,
-                str(self.seed),
-                str(self.comparisons),
-                str(self.moves),
-                f"{self.bound_B:.6f}",
-                f"{self.entropy_H:.6f}",
-                f"{self.ratio:.6f}",
-                str(self.elapsed_ns),
-            )
-        )
-
-
 class _UsageError(Exception):
     pass
 
@@ -99,12 +60,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _sizes_arg(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(part) for part in text.replace("-", ",").split(",") if part != "")
+        return tuple(int(part) for part in text.replace("-", ",").split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad block sizes {text!r}") from None
-    if not sizes:
-        raise argparse.ArgumentTypeError("empty block sizes")
-    return sizes
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -184,34 +142,26 @@ def _profile_fields(p: Profile) -> list[tuple[str, str]]:
     ]
 
 
-def _bench_genspec(family: str, n: int, args, seed: int) -> GenSpec:
+def _bench_spec(family: str, n: int, args, seed: int) -> tuple[GenSpec, str]:
+    """The GenSpec of one bench trial and its param column."""
     if family == "displacement":
         if args.k is None:
             raise _UsageError("displacement family needs --k")
-        return GenSpec(family, n, k=args.k, seed=seed)
+        return GenSpec(family, n, k=args.k, seed=seed), f"k={args.k}"
     if family == "multiset":
         if args.h is None:
             raise _UsageError("multiset family needs --h")
-        return GenSpec(family, n, h=args.h, seed=seed)
+        return GenSpec(family, n, h=args.h, seed=seed), f"h={args.h}"
     if family == "sorted-type":
-        if args.blocks_sizes is not None:
-            return GenSpec(family, n, sizes=args.blocks_sizes, seed=seed)
-        if args.blocks is not None:
+        sizes = args.blocks_sizes
+        if sizes is None:
+            if args.blocks is None:
+                raise _UsageError("sorted-type family needs --type or --blocks")
             if args.blocks < 1 or n % args.blocks:
                 raise _UsageError(f"--blocks {args.blocks} must divide n={n}")
-            return GenSpec(family, n, sizes=(n // args.blocks,) * args.blocks, seed=seed)
-        raise _UsageError("sorted-type family needs --type or --blocks")
-    return GenSpec(family, n, seed=seed)
-
-
-def _bench_param(spec: GenSpec) -> str:
-    if spec.family == "displacement":
-        return f"k={spec.k}"
-    if spec.family == "multiset":
-        return f"h={spec.h}"
-    if spec.family == "sorted-type":
-        return f"type={_fmt_sizes(spec.sizes)}"
-    return ""
+            sizes = (n // args.blocks,) * args.blocks
+        return GenSpec(family, n, sizes=sizes, seed=seed), f"type={_fmt_sizes(sizes)}"
+    return GenSpec(family, n, seed=seed), ""
 
 
 def _run_sorter(algo: str, pivot: str, seq: Sequence, k: Optional[int], seed: int) -> SortOutcome:
@@ -309,13 +259,14 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         print("presort bench: --trials must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    rows: list[BenchRow] = []
+    # (sort key, CSV line); the stable sort keeps tied rows in run order.
+    rows: list[tuple[tuple, str]] = []
     try:
         for family in args.families:
             for n in args.sizes:
                 for trial in range(args.trials):
                     seed = args.seed + trial
-                    spec = _bench_genspec(family, n, args, seed)
+                    spec, param = _bench_spec(family, n, args, seed)
                     seq = generate(spec)
                     prof = profile(seq)
                     for token in args.algos:
@@ -324,27 +275,16 @@ def cmd_bench(args) -> int:
                         outcome = _run_sorter(algo, pivot, seq, args.k, seed)
                         elapsed = 0 if args.no_time else time.perf_counter_ns() - t0
                         ratio = outcome.comparisons / prof.bound if prof.bound else 0.0
-                        rows.append(
-                            BenchRow(
-                                family=family,
-                                n=n,
-                                param=_bench_param(spec),
-                                algo=algo,
-                                pivot=pivot,
-                                seed=seed,
-                                comparisons=outcome.comparisons,
-                                moves=outcome.moves,
-                                bound_B=prof.bound,
-                                entropy_H=prof.entropy,
-                                ratio=ratio,
-                                elapsed_ns=elapsed,
-                            )
+                        line = (
+                            f"{family},{n},{param},{algo},{pivot},{seed},{outcome.comparisons},"
+                            f"{outcome.moves},{prof.bound:.6f},{prof.entropy:.6f},{ratio:.6f},{elapsed}"
                         )
+                        rows.append(((family, n, algo, seed, param, pivot), line))
     except (_UsageError, ValueError, GenerationError) as exc:
         print(f"presort bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows.sort(key=BenchRow.sort_key)
-    lines = [BENCH_HEADER] + [r.csv_line() for r in rows]
+    rows.sort(key=itemgetter(0))
+    lines = [BENCH_HEADER] + [line for _, line in rows]
     try:
         _write_lines(args.out, lines)
     except OSError as exc:

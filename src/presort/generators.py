@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Sequence
-from .measures import decompose_maximal
+from .measures import _check_sizes, decompose_maximal
 
 log = logging.getLogger(__name__)
 
@@ -149,9 +149,8 @@ def realize_sorted_type(sizes, seed: int = 0) -> Sequence:
     decompose_maximal before being returned.
     """
     sizes = list(sizes)
-    if not sizes or any(b <= 0 for b in sizes):
-        raise ValueError(f"block sizes must be positive and non-empty: {sizes}")
     n = sum(sizes)
+    _check_sizes(sizes, n)
     want = tuple(sorted(sizes, reverse=True))
     starts = []
     acc = 0

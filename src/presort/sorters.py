@@ -381,11 +381,12 @@ def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int,
 
     Sorts a random n^(2/3)-size sample, picks two sample keys that bracket
     the target rank with high probability, and splits the input against
-    them: most elements cost one comparison, the rest two, which is where
-    the roughly 1.5n expected total on random input comes from.  A missed
-    bracket recurses on the big side (counted in the second return value);
-    a degenerate split falls back to the deterministic selector, so the
-    result always equals the true rank-ceil(n/2) key.
+    them: most elements cost one comparison, the rest two.  One call on a
+    random permutation measured 2.39n comparisons in all at n = 65536,
+    2.27n at n = 100000 and 6.6n at n = 1000.  A missed bracket recurses
+    on the big side (counted in the second return value); a degenerate
+    split falls back to the deterministic selector, so the result always
+    equals the true rank-ceil(n/2) key.
     """
     if s.n == 0:
         raise ValueError("median of empty sequence")

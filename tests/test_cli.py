@@ -64,6 +64,32 @@ def test_gen_bad_params_are_usage_errors(tmp_path, capsys):
     assert run(capsys, "gen", "--family", "multiset", "--n", "4", "--h", "9", "--out", out)[0] == 1
 
 
+@pytest.mark.parametrize("text", ["-3", "3,-2", "3,", "2--1"])
+def test_type_with_empty_part_is_usage_error(tmp_path, capsys, text):
+    out = tmp_path / "x.txt"
+    gen = ["gen", "--family", "sorted-type", "--n", "3", "--out", str(out)]
+    bench = ["bench", "--families", "sorted-type", "--sizes", "3", "--algos", "insertion"]
+    for argv in (gen, bench):
+        code, stdout, err = run(capsys, *argv, "--type", text)
+        assert code == 1
+        assert stdout == ""
+        assert err.endswith(f"error: argument --type: bad block sizes {text!r}\n")
+    assert not out.exists()
+
+
+def test_type_accepts_either_separator(tmp_path, capsys):
+    for text in ("3-2", "3,2"):
+        out = tmp_path / "t.txt"
+        assert run(capsys, "gen", "--family", "sorted-type", "--n", "5", "--type", text, "--out", str(out))[0] == 0
+        assert decompose_maximal(load_sequence(out)).size_multiset() == (3, 2)
+        code, stdout, _ = run(
+            capsys, "bench", "--families", "sorted-type", "--sizes", "5", "--type", text,
+            "--algos", "insertion", "--no-time",
+        )
+        assert code == 0
+        assert stdout.splitlines()[1].startswith("sorted-type,5,type=3-2,insertion,")
+
+
 # -- measure -----------------------------------------------------------------
 
 
@@ -286,6 +312,59 @@ def test_bench_param_column(tmp_path, capsys):
     assert code == 0
     params = {line.split(",")[0]: line.split(",")[2] for line in out.read_text().splitlines()[1:]}
     assert params == {"displacement": "k=4", "multiset": "h=8", "sorted-type": "type=8-8-8-8"}
+
+
+# `presort bench` output for three families at n = 16 under all six algos,
+# pinned byte for byte.
+BENCH_16_GOLDEN = """\
+family,n,param,algo,pivot,seed,comparisons,moves,bound_B,entropy_H,ratio,elapsed_ns
+multiset,16,h=5,blocked,,0,49,80,52.512317,1.936278,0.933114,0
+multiset,16,h=5,blocked,,1,47,80,56.308254,2.227217,0.834691,0
+multiset,16,h=5,insertion,,0,60,58,52.512317,1.936278,1.142589,0
+multiset,16,h=5,insertion,,1,76,73,56.308254,2.227217,1.349713,0
+multiset,16,h=5,natmerge,,0,51,45,52.512317,1.936278,0.971201,0
+multiset,16,h=5,natmerge,,1,51,46,56.308254,2.227217,0.905729,0
+multiset,16,h=5,psort,fr,0,85,23,52.512317,1.936278,1.618668,0
+multiset,16,h=5,psort,median,0,119,23,52.512317,1.936278,2.266135,0
+multiset,16,h=5,psort,randmid,0,627,25,52.512317,1.936278,11.940056,0
+multiset,16,h=5,psort,fr,1,106,36,56.308254,2.227217,1.882495,0
+multiset,16,h=5,psort,median,1,145,36,56.308254,2.227217,2.575111,0
+multiset,16,h=5,psort,randmid,1,75,36,56.308254,2.227217,1.331954,0
+sorted-type,16,type=8-8,blocked,,0,46,80,41.359400,1.000000,1.112202,0
+sorted-type,16,type=8-8,blocked,,1,50,80,41.359400,1.000000,1.208915,0
+sorted-type,16,type=8-8,insertion,,0,47,41,41.359400,1.000000,1.136380,0
+sorted-type,16,type=8-8,insertion,,1,38,30,41.359400,1.000000,0.918775,0
+sorted-type,16,type=8-8,natmerge,,0,46,38,41.359400,1.000000,1.112202,0
+sorted-type,16,type=8-8,natmerge,,1,46,43,41.359400,1.000000,1.112202,0
+sorted-type,16,type=8-8,psort,fr,0,82,16,41.359400,1.000000,1.982621,0
+sorted-type,16,type=8-8,psort,median,0,88,16,41.359400,1.000000,2.127690,0
+sorted-type,16,type=8-8,psort,randmid,0,104,30,41.359400,1.000000,2.514543,0
+sorted-type,16,type=8-8,psort,fr,1,82,16,41.359400,1.000000,1.982621,0
+sorted-type,16,type=8-8,psort,median,1,121,16,41.359400,1.000000,2.925574,0
+sorted-type,16,type=8-8,psort,randmid,1,118,30,41.359400,1.000000,2.853039,0
+transpose,16,,blocked,,0,40,80,41.359400,1.000000,0.967132,0
+transpose,16,,blocked,,1,40,80,41.359400,1.000000,0.967132,0
+transpose,16,,insertion,,0,78,72,41.359400,1.000000,1.885907,0
+transpose,16,,insertion,,1,78,72,41.359400,1.000000,1.885907,0
+transpose,16,,natmerge,,0,23,16,41.359400,1.000000,0.556101,0
+transpose,16,,natmerge,,1,23,16,41.359400,1.000000,0.556101,0
+transpose,16,,psort,fr,0,78,16,41.359400,1.000000,1.885907,0
+transpose,16,,psort,median,0,94,16,41.359400,1.000000,2.272760,0
+transpose,16,,psort,randmid,0,109,27,41.359400,1.000000,2.635435,0
+transpose,16,,psort,fr,1,78,16,41.359400,1.000000,1.885907,0
+transpose,16,,psort,median,1,94,16,41.359400,1.000000,2.272760,0
+transpose,16,,psort,randmid,1,111,41,41.359400,1.000000,2.683791,0
+"""
+
+
+def test_bench_golden_bytes(capsys):
+    code, stdout, _ = run(
+        capsys, "bench", "--families", "transpose,sorted-type,multiset", "--sizes", "16",
+        "--algos", "psort-median,psort-randmid,psort-fr,blocked,insertion,natmerge",
+        "--trials", "2", "--k", "4", "--h", "5", "--blocks", "2", "--no-time",
+    )
+    assert code == 0
+    assert stdout == BENCH_16_GOLDEN
 
 
 def test_bench_usage_errors(tmp_path, capsys):
