@@ -2,9 +2,9 @@
 
 All commands are deterministic functions of their flags, input files, and
 seeds; rerunning produces identical bytes (the bench elapsed_ns column is
-the one timing-dependent exception, and --no-time zeroes it).  Exit codes:
-0 success, 1 usage error, 2 unreadable or malformed data, 3 output failed
-verification.
+the one timing-dependent exception, and --no-time zeroes it).  Exit codes,
+all chosen in main: 0 success; 1 bad flag or parameter; 2 unreadable or
+malformed input, or unwritable output; 3 output failed verification.
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from operator import itemgetter
 from typing import Optional
 
-from .census import MAX_CENSUS_N, enumerate_census, census_worst_cases
+from .census import enumerate_census, census_worst_cases
 from .core import (
+    _KEY,
     Meter,
     Sequence,
     SequenceFormatError,
@@ -48,28 +50,22 @@ PROFILE_HEADER = "n,k,sizes,entropy_H,bound_B,inversions,displacement,runs,disti
 BENCH_ALGOS = tuple(f"psort-{kind}" for kind in PIVOT_KINDS) + ("blocked", "insertion", "natmerge")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # Flag errors are exit code 1 here, not argparse's default 2.
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _sizes_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.replace("-", ",").split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad block sizes {text!r}") from None
+def _int_list(text: str, what: str = "integer list", sep: str = ",") -> tuple[int, ...]:
+    """Integers split at commas and at sep; each part, stripped, must follow
+    the key grammar of the input format."""
+    parts = [part.strip() for part in text.replace(sep, ",").split(",")]
+    if not all(map(_KEY.fullmatch, parts)):
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}")
+    return tuple(map(int, parts))
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
+_sizes_arg = partial(_int_list, what="block sizes", sep="-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an input file")
+    p.set_defaults(handler=cmd_gen)
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="displacement bound (displacement family)")
@@ -86,10 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("measure", help="print the order profile of an input file")
+    p.set_defaults(handler=cmd_measure)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--csv", action="store_true", help="emit one CSV row instead of key=value lines")
 
     p = sub.add_parser("sort", help="sort an input file with a chosen algorithm")
+    p.set_defaults(handler=cmd_sort)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--algo", required=True, choices=("psort", "blocked", "insertion", "natmerge"))
     p.add_argument("--pivot", choices=PIVOT_KINDS, default="median")
@@ -98,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the sorted sequence here")
 
     p = sub.add_parser("bench", help="run a benchmark grid, emit CSV")
+    p.set_defaults(handler=cmd_bench)
     p.add_argument("--families", type=lambda t: tuple(t.split(",")), required=True)
     p.add_argument("--sizes", type=_int_list, required=True, help="comma list of n values")
     p.add_argument("--algos", type=lambda t: tuple(t.split(",")), required=True)
@@ -111,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-time", action="store_true", help="write 0 for elapsed_ns (byte-stable output)")
 
     p = sub.add_parser("census", help="exhaustive type census for small n")
+    p.set_defaults(handler=cmd_census)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--worstcase", choices=BENCH_ALGOS[:3], help="also sort every permutation with this strategy")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized worst-case strategies")
@@ -146,19 +147,19 @@ def _bench_spec(family: str, n: int, args, seed: int) -> tuple[GenSpec, str]:
     """The GenSpec of one bench trial and its param column."""
     if family == "displacement":
         if args.k is None:
-            raise _UsageError("displacement family needs --k")
+            raise ValueError("displacement family needs --k")
         return GenSpec(family, n, k=args.k, seed=seed), f"k={args.k}"
     if family == "multiset":
         if args.h is None:
-            raise _UsageError("multiset family needs --h")
+            raise ValueError("multiset family needs --h")
         return GenSpec(family, n, h=args.h, seed=seed), f"h={args.h}"
     if family == "sorted-type":
         sizes = args.blocks_sizes
         if sizes is None:
             if args.blocks is None:
-                raise _UsageError("sorted-type family needs --type or --blocks")
+                raise ValueError("sorted-type family needs --type or --blocks")
             if args.blocks < 1 or n % args.blocks:
-                raise _UsageError(f"--blocks {args.blocks} must divide n={n}")
+                raise ValueError(f"--blocks {args.blocks} must divide n={n}")
             sizes = (n // args.blocks,) * args.blocks
         return GenSpec(family, n, sizes=sizes, seed=seed), f"type={_fmt_sizes(sizes)}"
     return GenSpec(family, n, seed=seed), ""
@@ -170,7 +171,7 @@ def _run_sorter(algo: str, pivot: str, seq: Sequence, k: Optional[int], seed: in
         return partition_sort(seq, PivotStrategy(pivot, seed), Meter())
     if algo == "blocked":
         if k is None:
-            raise _UsageError("blocked needs --k")
+            raise ValueError("blocked needs --k")
         return blocked_sort(seq, k, Meter())
     if algo == "insertion":
         return insertion_sort(seq, Meter())
@@ -187,29 +188,15 @@ def _write_lines(path: Optional[str], lines: list[str]) -> None:
 
 
 def cmd_gen(args) -> int:
-    try:
-        spec = GenSpec(args.family, args.n, k=args.k, sizes=args.sizes, h=args.h, seed=args.seed)
-        seq = generate(spec)
-    except (ValueError, GenerationError) as exc:
-        print(f"presort gen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    header = f"family={spec.family} n={spec.n} seed={spec.seed}"
-    try:
-        dump_sequence(seq, args.out, header=header)
-    except OSError as exc:
-        print(f"presort gen: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    spec = GenSpec(args.family, args.n, k=args.k, sizes=args.sizes, h=args.h, seed=args.seed)
+    seq = generate(spec)
+    dump_sequence(seq, args.out, header=f"family={spec.family} n={spec.n} seed={spec.seed}")
     print(f"family={spec.family} n={spec.n}")
     return EXIT_OK
 
 
 def cmd_measure(args) -> int:
-    try:
-        seq = load_sequence(args.infile)
-    except (OSError, SequenceFormatError) as exc:
-        print(f"presort measure: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    fields = _profile_fields(profile(seq))
+    fields = _profile_fields(profile(load_sequence(args.infile)))
     if args.csv:
         lines = [PROFILE_HEADER, ",".join(value for _, value in fields)]
     else:
@@ -219,16 +206,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sort(args) -> int:
-    try:
-        seq = load_sequence(args.infile)
-    except (OSError, SequenceFormatError) as exc:
-        print(f"presort sort: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        outcome = _run_sorter(args.algo, args.pivot, seq, args.k, args.seed)
-    except (_UsageError, ValueError) as exc:
-        print(f"presort sort: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    seq = load_sequence(args.infile)
+    outcome = _run_sorter(args.algo, args.pivot, seq, args.k, args.seed)
     ok = outcome.is_sorted and verify_sorted_stable_permutation(seq, outcome.output)
     print(f"comparisons={outcome.comparisons}")
     print(f"moves={outcome.moves}")
@@ -236,11 +215,7 @@ def cmd_sort(args) -> int:
     print(f"depth={outcome.max_recursion_depth}")
     print(f"sorted={'true' if ok else 'false'}")
     if args.out:
-        try:
-            dump_sequence(outcome.output, args.out)
-        except OSError as exc:
-            print(f"presort sort: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        dump_sequence(outcome.output, args.out)
     if not ok:
         print("presort sort: output failed verification", file=sys.stderr)
         return EXIT_VERIFY
@@ -250,59 +225,43 @@ def cmd_sort(args) -> int:
 def cmd_bench(args) -> int:
     for family in args.families:
         if family not in FAMILIES:
-            print(f"presort bench: unknown family {family!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"unknown family {family!r}")
     for algo in args.algos:
         if algo not in BENCH_ALGOS:
-            print(f"presort bench: unknown algo {algo!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"unknown algo {algo!r}")
     if args.trials < 1:
-        print("presort bench: --trials must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--trials must be at least 1")
     # (sort key, CSV line); the stable sort keeps tied rows in run order.
     rows: list[tuple[tuple, str]] = []
-    try:
-        for family in args.families:
-            for n in args.sizes:
-                for trial in range(args.trials):
-                    seed = args.seed + trial
-                    spec, param = _bench_spec(family, n, args, seed)
-                    seq = generate(spec)
-                    prof = profile(seq)
-                    for token in args.algos:
-                        algo, _, pivot = token.partition("-")
-                        t0 = time.perf_counter_ns()
-                        outcome = _run_sorter(algo, pivot, seq, args.k, seed)
-                        elapsed = 0 if args.no_time else time.perf_counter_ns() - t0
-                        ratio = outcome.comparisons / prof.bound if prof.bound else 0.0
-                        line = (
-                            f"{family},{n},{param},{algo},{pivot},{seed},{outcome.comparisons},"
-                            f"{outcome.moves},{prof.bound:.6f},{prof.entropy:.6f},{ratio:.6f},{elapsed}"
-                        )
-                        rows.append(((family, n, algo, seed, param, pivot), line))
-    except (_UsageError, ValueError, GenerationError) as exc:
-        print(f"presort bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    for family in args.families:
+        for n in args.sizes:
+            for trial in range(args.trials):
+                seed = args.seed + trial
+                spec, param = _bench_spec(family, n, args, seed)
+                seq = generate(spec)
+                prof = profile(seq)
+                for token in args.algos:
+                    algo, _, pivot = token.partition("-")
+                    t0 = time.perf_counter_ns()
+                    outcome = _run_sorter(algo, pivot, seq, args.k, seed)
+                    elapsed = 0 if args.no_time else time.perf_counter_ns() - t0
+                    ratio = outcome.comparisons / prof.bound if prof.bound else 0.0
+                    line = (
+                        f"{family},{n},{param},{algo},{pivot},{seed},{outcome.comparisons},"
+                        f"{outcome.moves},{prof.bound:.6f},{prof.entropy:.6f},{ratio:.6f},{elapsed}"
+                    )
+                    rows.append(((family, n, algo, seed, param, pivot), line))
     rows.sort(key=itemgetter(0))
-    lines = [BENCH_HEADER] + [line for _, line in rows]
-    try:
-        _write_lines(args.out, lines)
-    except OSError as exc:
-        print(f"presort bench: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    _write_lines(args.out, [BENCH_HEADER] + [line for _, line in rows])
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
-    try:
-        rows = enumerate_census(args.n)
-        worst: dict[tuple[int, ...], int] = {}
-        if args.worstcase:
-            pivot = args.worstcase.split("-", 1)[1]
-            worst = census_worst_cases(args.n, PivotStrategy(pivot, args.seed))
-    except ValueError as exc:
-        print(f"presort census: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = enumerate_census(args.n)
+    worst: dict[tuple[int, ...], int] = {}
+    if args.worstcase:
+        pivot = args.worstcase.split("-", 1)[1]
+        worst = census_worst_cases(args.n, PivotStrategy(pivot, args.seed))
     lines = [CENSUS_HEADER]
     for row in rows:
         bound = "" if row.count_bound is None else f"{row.count_bound:.6f}"
@@ -320,11 +279,7 @@ def cmd_census(args) -> int:
                 )
             )
         )
-    try:
-        _write_lines(args.out, lines)
-    except OSError as exc:
-        print(f"presort census: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    _write_lines(args.out, lines)
     return EXIT_OK
 
 
@@ -334,14 +289,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = {
-        "gen": cmd_gen,
-        "measure": cmd_measure,
-        "sort": cmd_sort,
-        "bench": cmd_bench,
-        "census": cmd_census,
-    }[args.command]
-    return handler(args)
+    # SequenceFormatError is a ValueError, so the data errors match first.
+    # The except clause unbinds exc when it ends; error keeps it.
+    try:
+        return args.handler(args)
+    except (OSError, SequenceFormatError) as exc:
+        error, code = exc, EXIT_DATA
+    except (ValueError, GenerationError) as exc:
+        error, code = exc, EXIT_USAGE
+    print(f"presort {args.command}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

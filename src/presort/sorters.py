@@ -44,8 +44,6 @@ MEDIAN_SELECT_FACTOR = 16
 # falling back to the deterministic selector.
 RANDOM_MIDDLE_ATTEMPT_CAP = 64
 
-PIVOT_KINDS = ("median", "randmid", "fr")
-
 
 @dataclass(frozen=True)
 class PivotStrategy:
@@ -63,10 +61,6 @@ class PivotStrategy:
     def __post_init__(self):
         if self.kind not in PIVOT_KINDS:
             raise ValueError(f"unknown pivot kind {self.kind!r}, expected one of {PIVOT_KINDS}")
-
-    @property
-    def randomized(self) -> bool:
-        return self.kind != "median"
 
 
 def exact_median() -> PivotStrategy:
@@ -91,14 +85,6 @@ class SortOutcome:
     pivot_retries: int = 0
     max_recursion_depth: int = 0
     is_sorted: bool = True
-
-
-class _RunStats:
-    __slots__ = ("retries", "max_depth")
-
-    def __init__(self):
-        self.retries = 0
-        self.max_depth = 0
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +315,16 @@ def _select_kth_key(keys: list[int], k: int, m: Meter) -> int:
             keys = hi
 
 
-def select_exact_median(s: Sequence, m: Meter) -> int:
+def _median_pivot(keys: list[int], rng, m: Meter) -> tuple[int, int]:
     """Key of rank ceil(n/2), found deterministically in linear time.
 
     Duplicate keys are fine: the returned key is the rank-ceil(n/2) entry
-    of the multiset, which no tie-break can change.
+    of the multiset, which no tie-break can change.  Never retries.
     """
-    if s.n == 0:
-        raise ValueError("median of empty sequence")
-    return _select_kth_key(s.keys(), (s.n + 1) // 2, m)
+    return _select_kth_key(keys, (len(keys) + 1) // 2, m), 0
 
 
-def select_random_middle(s: Sequence, rng: random.Random, m: Meter) -> tuple[int, int]:
+def _randmid_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
     """Sample elements until one ranks in the middle half; return (key, rejects).
 
     Each attempt verifies the candidate's rank with n-1 charged
@@ -351,12 +335,9 @@ def select_random_middle(s: Sequence, rng: random.Random, m: Meter) -> tuple[int
     correctness never depends on luck).  Inputs shorter than 4 skip
     straight to the exact selector.
     """
-    n = s.n
-    if n == 0:
-        raise ValueError("pivot from empty sequence")
-    keys = s.keys()
+    n = len(keys)
     if n < 4:
-        return _select_kth_key(keys, (n + 1) // 2, m), 0
+        return _median_pivot(keys, rng, m)
     lo_rank = -(-n // 4)
     hi_rank = (3 * n) // 4
     for rejected in range(RANDOM_MIDDLE_ATTEMPT_CAP):
@@ -376,7 +357,7 @@ def select_random_middle(s: Sequence, rng: random.Random, m: Meter) -> tuple[int
 _FR_SMALL = 64
 
 
-def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int, int]:
+def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
     """Key of rank ceil(n/2) by sampling selection; returns (key, bracket_misses).
 
     Sorts a random n^(2/3)-size sample, picks two sample keys that bracket
@@ -388,10 +369,7 @@ def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int,
     split falls back to the deterministic selector, so the result always
     equals the true rank-ceil(n/2) key.
     """
-    if s.n == 0:
-        raise ValueError("median of empty sequence")
-    keys = s.keys()
-    k = (s.n + 1) // 2
+    k = (len(keys) + 1) // 2
     misses = 0
     while True:
         n = len(keys)
@@ -422,6 +400,33 @@ def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int,
             k -= len(lo) + len(mid)
             keys = hi
             misses += 1
+
+
+# Each pivot kind's selector: (keys, rng, m) -> (pivot key, retries) on a
+# non-empty key list, which the selector may reorder.
+_SELECTORS = {"median": _median_pivot, "randmid": _randmid_pivot, "fr": _fr_pivot}
+PIVOT_KINDS = tuple(_SELECTORS)
+
+
+def select_exact_median(s: Sequence, m: Meter) -> int:
+    """The rank-ceil(n/2) key of s; see _median_pivot."""
+    if s.n == 0:
+        raise ValueError("median of empty sequence")
+    return _median_pivot(s.keys(), None, m)[0]
+
+
+def select_random_middle(s: Sequence, rng: random.Random, m: Meter) -> tuple[int, int]:
+    """A middle-half key of s and the rejected samples; see _randmid_pivot."""
+    if s.n == 0:
+        raise ValueError("pivot from empty sequence")
+    return _randmid_pivot(s.keys(), rng, m)
+
+
+def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int, int]:
+    """The rank-ceil(n/2) key of s and the bracket misses; see _fr_pivot."""
+    if s.n == 0:
+        raise ValueError("median of empty sequence")
+    return _fr_pivot(s.keys(), rng, m)
 
 
 # ---------------------------------------------------------------------------
@@ -481,31 +486,21 @@ def natural_merge_sort(s: Sequence, m: Optional[Meter] = None) -> SortOutcome:
     return SortOutcome(Sequence(items), m.comparisons - c0, m.moves - v0)
 
 
-def _choose_pivot(seq: Sequence, strategy: PivotStrategy, rng, m: Meter, stats: _RunStats) -> int:
-    if strategy.kind == "median":
-        return select_exact_median(seq, m)
-    if strategy.kind == "randmid":
-        key, rejected = select_random_middle(seq, rng, m)
-    else:
-        key, rejected = select_floyd_rivest(seq, rng, m)
-    stats.retries += rejected
-    return key
-
-
-def _psort(items: list[Item], strategy: PivotStrategy, rng, m: Meter, depth: int, stats: _RunStats) -> list[Item]:
-    if depth > stats.max_depth:
-        stats.max_depth = depth
-    if m.first_descent(list(map(itemgetter(0), items))) < 0:
-        return items
+def _psort(items: list[Item], select, rng, m: Meter, depth: int) -> tuple[list[Item], int, int]:
+    """Sort one segment at recursion level depth; returns the sorted items,
+    the pivot retries and the deepest level reached."""
+    keys = list(map(itemgetter(0), items))
+    if m.first_descent(keys) < 0:
+        return items, 0, depth
     if len(items) <= SMALL_SEGMENT:
-        return _insertion_items(items, m)
-    seq = Sequence(items)
-    pivot = _choose_pivot(seq, strategy, rng, m, stats)
+        return _insertion_items(items, m), 0, depth
+    pivot, retries = select(keys, rng, m)
     lo, eq, hi = _partition3_items(items, pivot, m)
-    out = _psort(lo, strategy, rng, m, depth + 1, stats)
+    out, lo_retries, lo_depth = _psort(lo, select, rng, m, depth + 1)
+    hi, hi_retries, hi_depth = _psort(hi, select, rng, m, depth + 1)
     out.extend(eq)
-    out.extend(_psort(hi, strategy, rng, m, depth + 1, stats))
-    return out
+    out.extend(hi)
+    return out, retries + lo_retries + hi_retries, max(lo_depth, hi_depth)
 
 
 def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = None) -> SortOutcome:
@@ -521,15 +516,16 @@ def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = No
     """
     m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
-    rng = random.Random(strategy.seed) if strategy.randomized else None
-    stats = _RunStats()
-    out = _psort(list(s.items), strategy, rng, m, 1, stats)
+    select = _SELECTORS[strategy.kind]
+    # One Random costs microseconds, a noticeable share of a tiny sort.
+    rng = None if select is _median_pivot else random.Random(strategy.seed)
+    out, retries, max_depth = _psort(list(s.items), select, rng, m, 1)
     return SortOutcome(
         Sequence(out),
         comparisons=m.comparisons - c0,
         moves=m.moves - v0,
-        pivot_retries=stats.retries,
-        max_recursion_depth=stats.max_depth,
+        pivot_retries=retries,
+        max_recursion_depth=max_depth,
     )
 
 

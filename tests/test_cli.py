@@ -77,6 +77,35 @@ def test_type_with_empty_part_is_usage_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
+# Each part must follow the key grammar of input files: no empty parts, no
+# digit separators, ASCII digits only.
+@pytest.mark.parametrize("text", ["", ",", "8,,4", "1_0", "\u0661\u0660", "8,x"])
+def test_bad_list_parts_are_usage_errors(tmp_path, capsys, text):
+    out = tmp_path / "x.txt"
+    gen = ["gen", "--family", "sorted-type", "--n", "10", "--out", str(out), "--type", text]
+    bench = ["bench", "--families", "sorted", "--algos", "insertion", "--sizes", text]
+    cases = ((gen, f"--type: bad block sizes {text!r}"), (bench, f"--sizes: bad integer list {text!r}"))
+    for argv, what in cases:
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert err.endswith(f"error: argument {what}\n")
+        assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["+8", " 8", "08"])
+def test_list_parts_take_a_sign_padding_and_leading_zeros(tmp_path, capsys, text):
+    out = tmp_path / "x.txt"
+    gen = ["gen", "--family", "sorted-type", "--n", "8", "--type", text, "--out", str(out)]
+    assert run(capsys, *gen)[0] == 0
+    assert load_sequence(out).keys() == list(range(1, 9))
+    bench = ["bench", "--families", "sorted", "--sizes", f"{text},4", "--algos", "insertion"]
+    code, stdout, _ = run(capsys, *bench)
+    assert code == 0
+    assert [line.split(",")[1] for line in stdout.splitlines()[1:]] == ["4", "8"]
+
+
 def test_type_accepts_either_separator(tmp_path, capsys):
     for text in ("3-2", "3,2"):
         out = tmp_path / "t.txt"
@@ -461,6 +490,26 @@ def test_census_out_file(tmp_path, capsys):
 
 
 # -- top level -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cmd", ["gen", "sort", "bench", "census"])
+def test_unwritable_out_exit_2_one_line(tmp_path, capsys, cmd):
+    f = tmp_path / "in.txt"
+    write_keys(f, [2, 1, 3])
+    argv = {
+        "gen": ["gen", "--family", "sorted", "--n", "3"],
+        "sort": ["sort", "--in", str(f), "--algo", "psort"],
+        "bench": ["bench", "--families", "sorted", "--sizes", "3", "--algos", "insertion"],
+        "census": ["census", "--n", "3"],
+    }[cmd]
+    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"presort {cmd}: ") and err.count("\n") == 1
+    if cmd == "sort":
+        assert stdout.splitlines() == ["comparisons=3", "moves=2", "retries=0", "depth=1", "sorted=true"]
+    else:
+        assert stdout == ""
+
 
 
 def test_no_command_is_usage_error(capsys):
