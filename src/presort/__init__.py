@@ -26,7 +26,7 @@ from .core import (
     sorted_check,
     verify_sorted_stable_permutation,
 )
-from .generators import FAMILIES, GenSpec, GenerationError, generate, realize_sorted_type
+from .generators import FAMILIES, GenSpec, generate, realize_sorted_type
 from .measures import (
     Decomposition,
     Profile,

@@ -23,7 +23,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count, permutations
-from typing import Optional
 
 from .core import Meter, Sequence
 from .measures import _check_sizes
@@ -32,8 +31,8 @@ from .sorters import PivotStrategy, partition_sort
 # Counting a census sums 3^(n-1) signed multinomials (19683 at n = 10).
 MAX_CENSUS_N = 10
 
-# Worst-case sweeps sort every one of the n! permutations, so they cut
-# off earlier than the counted census.
+# Worst-case sweeps sort all n! permutations, so they cut off earlier than
+# the counted census; at n <= SMALL_SEGMENT no pivot kind ever selects.
 MAX_WORST_CASE_N = 8
 
 
@@ -41,39 +40,35 @@ MAX_WORST_CASE_N = 8
 class CensusRow:
     """One sorted type: its class size and the bounds attached to it.
 
-    count_bound is the counting lower bound on nu, or None where the
-    formula's domain (2k <= n) excludes the type.  info_bits is
-    ceil(log2 nu).
+    count_bound is the counting lower bound multinomial/k! on nu, and
+    info_bits is ceil(log2 nu).
     """
 
     sizes: tuple[int, ...]
     nu: int
-    count_bound: Optional[float]
+    count_bound: float
     info_bits: int
 
 
 def type_count_lower_bound(n: int, sizes) -> float:
     """Lower bound on how many permutations share a block-size type.
 
-    multinomial / (k! * C(n, 2k)) for k blocks, multinomial =
-    n!/(prod sizes!), defined only when 2k <= n.  Swap-repair: nu counts
-    the permutations whose ascending runs have these sizes in some order.
-    Put the s runs of size 1 last; the multinomial counts the fillings of
+    multinomial / k! for k blocks, multinomial = n!/(prod sizes!), on
+    every valid type.  Swap-repair: nu counts the permutations whose
+    ascending runs have these sizes in some order.  The all-singleton type
+    has nu = 1 = n!/n!.  Otherwise put the s runs of size 1 last, after at
+    least one run of size >= 2; the multinomial counts the fillings of
     that layout with every run increasing.  Sorting each window that spans
     a run boundary into decreasing order gives a permutation of exactly
     this type, and with k - s - 1 windows of 2 and one of s + 1, at most
     2^(k-s-1) * (s+1)! <= k! fillings give the same one.  So
-    nu >= multinomial / k!, and the factor C(n, 2k) >= 1 only loosens it.
-    Exact integer arithmetic, float result.
+    nu >= multinomial / k!.  Exact integer arithmetic, float result.
     """
     sizes = _check_sizes(sizes, n)
-    k = len(sizes)
-    if 2 * k > n:
-        raise ValueError(f"bound undefined for 2k > n (k={k}, n={n})")
     multinomial = math.factorial(n)
     for b in sizes:
         multinomial //= math.factorial(b)
-    return multinomial / (math.factorial(k) * math.comb(n, 2 * k))
+    return multinomial / math.factorial(len(sizes))
 
 
 def _type_of_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -100,16 +95,6 @@ def _type_of_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(sizes, reverse=True))
 
 
-def _check_census_n(n: int) -> None:
-    if not 1 <= n <= MAX_CENSUS_N:
-        raise ValueError(f"census supports 1 <= n <= {MAX_CENSUS_N}, got {n}")
-
-
-def _check_worst_case_n(n: int) -> None:
-    if not 1 <= n <= MAX_WORST_CASE_N:
-        raise ValueError(f"worst-case sweeps support 1 <= n <= {MAX_WORST_CASE_N}, got {n}")
-
-
 def enumerate_census(n: int) -> list[CensusRow]:
     """Census every permutation of {1..n}; one row per realized type.
 
@@ -118,7 +103,8 @@ def enumerate_census(n: int) -> list[CensusRow]:
     back ordered by block count, then lexicographically by the size tuple.
     The nu column always sums to n! over the whole list.
     """
-    _check_census_n(n)
+    if not 1 <= n <= MAX_CENSUS_N:
+        raise ValueError(f"census supports 1 <= n <= {MAX_CENSUS_N}, got {n}")
     fact = [math.factorial(i) for i in range(n + 1)]
     compositions = []
     for cuts in range(1 << (n - 1)):
@@ -140,11 +126,7 @@ def enumerate_census(n: int) -> list[CensusRow]:
     rows = []
     for sizes in sorted(counts, key=lambda t: (len(t), t)):
         nu = counts[sizes]
-        try:
-            bound = type_count_lower_bound(n, sizes)
-        except ValueError:
-            bound = None
-        rows.append(CensusRow(sizes=sizes, nu=nu, count_bound=bound, info_bits=(nu - 1).bit_length()))
+        rows.append(CensusRow(sizes, nu, type_count_lower_bound(n, sizes), (nu - 1).bit_length()))
     return rows
 
 
@@ -156,7 +138,8 @@ def census_worst_cases(n: int, strategy: PivotStrategy) -> dict[tuple[int, ...],
     one fixed deterministic procedure across every class and the
     information bound ceil(log2 nu) applies to each result.
     """
-    _check_worst_case_n(n)
+    if not 1 <= n <= MAX_WORST_CASE_N:
+        raise ValueError(f"worst-case sweeps support 1 <= n <= {MAX_WORST_CASE_N}, got {n}")
     worst: dict[tuple[int, ...], int] = {}
     for perm in permutations(range(1, n + 1)):
         t = _type_of_permutation(perm)

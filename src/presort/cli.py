@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from functools import partial
 from operator import itemgetter
 from typing import Optional
@@ -26,9 +27,10 @@ from .core import (
     load_sequence,
     verify_sorted_stable_permutation,
 )
-from .generators import FAMILIES, GenSpec, GenerationError, generate
-from .measures import Profile, profile
+from .generators import FAMILIES, GenSpec, generate
+from .measures import Profile, decompose_maximal, entropy, entropy_bound, profile
 from .sorters import (
+    _check_window,
     PIVOT_KINDS,
     PivotStrategy,
     SortOutcome,
@@ -44,7 +46,7 @@ EXIT_DATA = 2
 EXIT_VERIFY = 3
 
 BENCH_HEADER = "family,n,param,algo,pivot,seed,comparisons,moves,bound_B,entropy_H,ratio,elapsed_ns"
-CENSUS_HEADER = "type,nu,eq1_rhs,applicable,info_bits,worst_case_comparisons"
+CENSUS_HEADER = "type,nu,eq1_rhs,info_bits,worst_case_comparisons"
 PROFILE_HEADER = "n,k,sizes,entropy_H,bound_B,inversions,displacement,runs,distinct_keys"
 
 BENCH_ALGOS = tuple(f"psort-{kind}" for kind in PIVOT_KINDS) + ("blocked", "insertion", "natmerge")
@@ -114,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_census)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--worstcase", choices=BENCH_ALGOS[:3], help="also sort every permutation with this strategy")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized worst-case strategies")
     p.add_argument("--out", help="CSV path (default stdout)")
 
     return parser
@@ -165,26 +166,33 @@ def _bench_spec(family: str, n: int, args, seed: int) -> tuple[GenSpec, str]:
     return GenSpec(family, n, seed=seed), ""
 
 
+def _check_blocked(k: Optional[int], n: int) -> None:
+    """The usage errors of blocked on an input of length n."""
+    if k is None:
+        raise ValueError("blocked needs --k")
+    _check_window(k, n)
+
+
 def _run_sorter(algo: str, pivot: str, seq: Sequence, k: Optional[int], seed: int) -> SortOutcome:
     """Run one sorter on seq with a fresh Meter; pivot and seed steer psort."""
     if algo == "psort":
         return partition_sort(seq, PivotStrategy(pivot, seed), Meter())
     if algo == "blocked":
-        if k is None:
-            raise ValueError("blocked needs --k")
+        _check_blocked(k, seq.n)
         return blocked_sort(seq, k, Meter())
     if algo == "insertion":
         return insertion_sort(seq, Meter())
     return natural_merge_sort(seq, Meter())
 
 
+def _open_out(path: Optional[str]):
+    """A text handle on path, or on stdout when no path is given."""
+    return open(path, "w", encoding="ascii") if path else nullcontext(sys.stdout)
+
+
 def _write_lines(path: Optional[str], lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_gen(args) -> int:
@@ -231,55 +239,47 @@ def cmd_bench(args) -> int:
             raise ValueError(f"unknown algo {algo!r}")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    # (sort key, CSV line); the stable sort keeps tied rows in run order.
-    rows: list[tuple[tuple, str]] = []
+    # Every usage error is raised before --out is opened or an input built.
+    trials = []
     for family in args.families:
         for n in args.sizes:
-            for trial in range(args.trials):
-                seed = args.seed + trial
+            for seed in range(args.seed, args.seed + args.trials):
                 spec, param = _bench_spec(family, n, args, seed)
-                seq = generate(spec)
-                prof = profile(seq)
-                for token in args.algos:
-                    algo, _, pivot = token.partition("-")
-                    t0 = time.perf_counter_ns()
-                    outcome = _run_sorter(algo, pivot, seq, args.k, seed)
-                    elapsed = 0 if args.no_time else time.perf_counter_ns() - t0
-                    ratio = outcome.comparisons / prof.bound if prof.bound else 0.0
-                    line = (
-                        f"{family},{n},{param},{algo},{pivot},{seed},{outcome.comparisons},"
-                        f"{outcome.moves},{prof.bound:.6f},{prof.entropy:.6f},{ratio:.6f},{elapsed}"
-                    )
-                    rows.append(((family, n, algo, seed, param, pivot), line))
-    rows.sort(key=itemgetter(0))
-    _write_lines(args.out, [BENCH_HEADER] + [line for _, line in rows])
+                spec.validate()
+                if "blocked" in args.algos:
+                    _check_blocked(args.k, n)
+                trials.append((family, n, seed, spec, param))
+    # (sort key, CSV line); the stable sort keeps tied rows in run order.
+    rows: list[tuple[tuple, str]] = []
+    with _open_out(args.out) as fh:
+        for family, n, seed, spec, param in trials:
+            seq = generate(spec)
+            sizes = decompose_maximal(seq).size_multiset()
+            bound, h = (entropy_bound(sizes, n), entropy(sizes, n)) if n else (0.0, 0.0)
+            for token in args.algos:
+                algo, _, pivot = token.partition("-")
+                t0 = time.perf_counter_ns()
+                outcome = _run_sorter(algo, pivot, seq, args.k, seed)
+                elapsed = 0 if args.no_time else time.perf_counter_ns() - t0
+                ratio = outcome.comparisons / bound if bound else 0.0
+                line = (
+                    f"{family},{n},{param},{algo},{pivot},{seed},{outcome.comparisons},"
+                    f"{outcome.moves},{bound:.6f},{h:.6f},{ratio:.6f},{elapsed}"
+                )
+                rows.append(((family, n, algo, seed, param, pivot), line))
+        rows.sort(key=itemgetter(0))
+        fh.write("\n".join([BENCH_HEADER] + [line for _, line in rows]) + "\n")
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
     rows = enumerate_census(args.n)
-    worst: dict[tuple[int, ...], int] = {}
-    if args.worstcase:
-        pivot = args.worstcase.split("-", 1)[1]
-        worst = census_worst_cases(args.n, PivotStrategy(pivot, args.seed))
-    lines = [CENSUS_HEADER]
-    for row in rows:
-        bound = "" if row.count_bound is None else f"{row.count_bound:.6f}"
-        applicable = "false" if row.count_bound is None else "true"
-        wc = worst.get(row.sizes)
-        lines.append(
-            ",".join(
-                (
-                    _fmt_sizes(row.sizes),
-                    str(row.nu),
-                    bound,
-                    applicable,
-                    str(row.info_bits),
-                    "" if wc is None else str(wc),
-                )
-            )
-        )
-    _write_lines(args.out, lines)
+    worst = census_worst_cases(args.n, PivotStrategy(args.worstcase.split("-")[1])) if args.worstcase else {}
+    lines = [
+        f"{_fmt_sizes(row.sizes)},{row.nu},{row.count_bound:.6f},{row.info_bits},{worst.get(row.sizes, '')}"
+        for row in rows
+    ]
+    _write_lines(args.out, [CENSUS_HEADER] + lines)
     return EXIT_OK
 
 
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (OSError, SequenceFormatError) as exc:
         error, code = exc, EXIT_DATA
-    except (ValueError, GenerationError) as exc:
+    except ValueError as exc:
         error, code = exc, EXIT_USAGE
     print(f"presort {args.command}: {error}", file=sys.stderr)
     return code

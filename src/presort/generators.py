@@ -7,15 +7,13 @@ value present at least once.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .core import Sequence
-from .measures import _check_sizes, decompose_maximal
-
-log = logging.getLogger(__name__)
+from .measures import _check_sizes
 
 FAMILIES = (
     "sorted",
@@ -26,14 +24,6 @@ FAMILIES = (
     "sorted-type",
     "multiset",
 )
-
-# How many reseeds realize_sorted_type tries before giving up.
-_REALIZE_ATTEMPTS = 32
-
-
-class GenerationError(RuntimeError):
-    """A generator could not produce a sequence meeting its contract."""
-
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -93,11 +83,6 @@ def generate(spec: GenSpec) -> Sequence:
     return _multiset(n, spec.h, spec.seed)
 
 
-def _rotate_right(block: list[int], s: int) -> list[int]:
-    s %= len(block)
-    return block[-s:] + block[:-s] if s else block
-
-
 def _displacement(n: int, k: int, seed: int) -> Sequence:
     """Sorted keys with every other (k+1)-block cyclically shifted.
 
@@ -122,7 +107,7 @@ def _displacement(n: int, k: int, seed: int) -> Sequence:
         else:
             # Partial tail blocks shift within their own length.
             s = rng.randint(1, min(k, len(block) - 1))
-        keys[lo : lo + width] = _rotate_right(block, s)
+        keys[lo : lo + width] = block[-s:] + block[:-s]
     return Sequence.from_keys(keys)
 
 
@@ -142,62 +127,45 @@ def realize_sorted_type(sizes, seed: int = 0) -> Sequence:
     are shuffled into a random interleaving, and each block's keys are
     written in increasing order at its label positions.  That alone can
     leave adjacent rank-blocks mergeable (the later block starting past
-    the earlier one's end), so a repair loop sweeps the boundaries left to
-    right, swapping the offending end pair until no boundary merges.  If a
-    layout refuses to settle within n sweeps the whole thing is redone
-    with the next seed; the result is always verified against
-    decompose_maximal before being returned.
+    the earlier one's end); _repair unmerges them, and its docstring says
+    why the result always has exactly the requested sizes.
     """
     sizes = list(sizes)
     n = sum(sizes)
     _check_sizes(sizes, n)
-    want = tuple(sorted(sizes, reverse=True))
-    starts = []
-    acc = 0
-    for b in sizes:
-        starts.append(acc)
-        acc += b
-    for attempt in range(_REALIZE_ATTEMPTS):
-        rng = random.Random(seed + attempt)
-        labels = [b for b, size in enumerate(sizes) for _ in range(size)]
-        rng.shuffle(labels)
-        keys = [0] * n
-        positions: list[list[int]] = [[] for _ in sizes]
-        handed = list(starts)
-        for pos, b in enumerate(labels):
-            handed[b] += 1
-            keys[pos] = handed[b]
-            positions[b].append(pos)
-        if _repair(keys, positions, n):
-            got = decompose_maximal(Sequence.from_keys(keys)).size_multiset()
-            if got == want:
-                return Sequence.from_keys(keys)
-            log.debug("sorted-type repair settled on %s instead of %s, reseeding", got, want)
-        else:
-            log.debug("sorted-type repair did not settle for seed %d, reseeding", seed + attempt)
-    raise GenerationError(f"could not realize block sizes {want} within {_REALIZE_ATTEMPTS} seeds")
+    labels = [b for b, size in enumerate(sizes) for _ in range(size)]
+    random.Random(seed).shuffle(labels)
+    keys = [0] * n
+    positions: list[list[int]] = [[] for _ in sizes]
+    # handed[b] is the last key block b has been given so far.
+    handed = list(accumulate(sizes, initial=0))
+    for pos, b in enumerate(labels):
+        handed[b] += 1
+        keys[pos] = handed[b]
+        positions[b].append(pos)
+    _repair(keys, positions)
+    return Sequence.from_keys(keys)
 
 
-def _repair(keys: list[int], positions: list[list[int]], cap: int) -> bool:
-    """Sweep rank-block boundaries, unmerging any that chain.
+def _repair(keys: list[int], positions: list[list[int]]) -> None:
+    """Sweep rank-block boundaries, unmerging any that chain, until a
+    sweep makes no swap.
 
-    Boundary b merges when block b ends before block b+1 begins; swapping
-    those two endpoint items breaks the chain while keeping both blocks
-    valid (each block's keys stay increasing along increasing positions).
-    Returns True once a full sweep makes no swap, False after cap sweeps.
+    Boundary b merges when block b ends before block b+1 begins.  The swap
+    moves block b's last item later and block b+1's first item earlier,
+    so each block's keys stay increasing along its positions.  When no
+    boundary merges, the rank chain breaks at every boundary and nowhere
+    inside a block, so every block is maximal and the sizes are exact.
+    No label of block b or b+1 lies between the swapped positions, so each
+    swap adds exactly one inversion to the block labels read in position
+    order; there are at most C(n, 2), so the sweeps end.
     """
-    nblocks = len(positions)
-    if nblocks <= 1:
-        return True
-    for _ in range(max(cap, 1)):
+    swapped = True
+    while swapped:
         swapped = False
-        for b in range(nblocks - 1):
-            left, right = positions[b], positions[b + 1]
+        for left, right in zip(positions, positions[1:]):
             p, q = left[-1], right[0]
             if p < q:
                 keys[p], keys[q] = keys[q], keys[p]
                 left[-1], right[0] = q, p
                 swapped = True
-        if not swapped:
-            return True
-    return False

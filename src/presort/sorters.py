@@ -517,8 +517,8 @@ def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = No
     m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
     select = _SELECTORS[strategy.kind]
-    # One Random costs microseconds, a noticeable share of a tiny sort.
-    rng = None if select is _median_pivot else random.Random(strategy.seed)
+    # A Random costs microseconds, and no segment of <= SMALL_SEGMENT selects.
+    rng = None if select is _median_pivot or s.n <= SMALL_SEGMENT else random.Random(strategy.seed)
     out, retries, max_depth = _psort(list(s.items), select, rng, m, 1)
     return SortOutcome(
         Sequence(out),
@@ -527,6 +527,12 @@ def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = No
         pivot_retries=retries,
         max_recursion_depth=max_depth,
     )
+
+
+def _check_window(k: int, n: int) -> None:
+    """blocked_sort's window range: 1 <= k <= n, or any k >= 1 when n = 0."""
+    if k < 1 or (n > 0 and k > n):
+        raise ValueError(f"window parameter k={k} out of range for n={n}")
 
 
 def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
@@ -541,8 +547,7 @@ def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
     """
     m = m if m is not None else Meter()
     n = s.n
-    if k < 1 or (n > 0 and k > n):
-        raise ValueError(f"window parameter k={k} out of range for n={n}")
+    _check_window(k, n)
     c0, v0 = m.comparisons, m.moves
     items = list(s.items)
     for first in (0, k):

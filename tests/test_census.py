@@ -89,19 +89,19 @@ def test_type_of_permutation_matches_decompose():
 
 
 def test_count_bound_worked_value():
-    # 5!/(3! 2!) = 10 over 2! * C(5, 4) = 10
-    assert type_count_lower_bound(5, (3, 2)) == 1.0
+    # 5!/(3! 2!) = 10 over 2! = 5
+    assert type_count_lower_bound(5, (3, 2)) == 5.0
 
 
 def test_count_bound_single_block():
-    # k=1 collapses the formula to 2 / (n * (n-1))
-    for n in (2, 4, 5, 8):
-        assert type_count_lower_bound(n, (n,)) == pytest.approx(2 / (n * (n - 1)))
+    # k=1 collapses the formula to n!/n! = 1, the identity's class size;
+    # the all-singleton type reaches n!/n! = 1 too, the reverse's.
+    for n in (1, 2, 4, 5, 8):
+        assert type_count_lower_bound(n, (n,)) == 1.0
+        assert type_count_lower_bound(n, (1,) * n) == 1.0
 
 
 def test_count_bound_domain():
-    with pytest.raises(ValueError):
-        type_count_lower_bound(4, (1, 1, 1))  # 2k = 6 > 4
     with pytest.raises(ValueError):
         type_count_lower_bound(4, (2, 1))  # sizes sum mismatch
     with pytest.raises(ValueError):
@@ -110,11 +110,7 @@ def test_count_bound_domain():
 
 def test_count_bound_matches_census_column():
     for row in enumerate_census(5):
-        k = len(row.sizes)
-        if 2 * k <= 5:
-            assert row.count_bound == type_count_lower_bound(5, row.sizes)
-        else:
-            assert row.count_bound is None
+        assert row.count_bound == type_count_lower_bound(5, row.sizes)
 
 
 def test_worst_case_identity_class_costs_n_minus_1():

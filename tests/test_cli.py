@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presort import cli
+from presort.census import MAX_WORST_CASE_N
 from presort.cli import BENCH_HEADER, CENSUS_HEADER, main
 from presort.core import load_sequence
 from presort.measures import decompose_maximal
+from presort.sorters import SMALL_SEGMENT
 
 from vectors import BLOCKS16
 
@@ -407,6 +410,36 @@ def test_bench_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--families", "sorted,multiset", "--algos", "insertion"],  # no --h
+        ["--families", "sorted", "--algos", "insertion,blocked"],  # no --k
+        ["--families", "sorted", "--algos", "blocked", "--k", "9"],  # window past n
+        ["--families", "sorted", "--sizes", "8,-1", "--algos", "insertion"],
+        ["--families", "sorted-type", "--algos", "insertion", "--blocks", "3"],
+    ],
+)
+def test_bench_usage_error_leaves_out_unchanged(tmp_path, capsys, extra):
+    out = tmp_path / "bench.csv"
+    out.write_bytes(b"earlier bytes\n")
+    code, stdout, err = run(capsys, "bench", "--sizes", "8", *extra, "--out", str(out))
+    assert code == 1
+    assert stdout == "" and err.startswith("presort bench: ") and err.count("\n") == 1
+    assert out.read_bytes() == b"earlier bytes\n"
+
+
+def test_bench_unwritable_out_exits_before_generating(tmp_path, capsys, monkeypatch):
+    def no_generate(spec):
+        raise AssertionError(f"generated {spec} before opening --out")
+
+    monkeypatch.setattr(cli, "generate", no_generate)
+    argv = ["bench", "--families", "sorted", "--sizes", "8", "--algos", "insertion"]
+    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert stdout == "" and err.startswith("presort bench: ") and err.count("\n") == 1
+
+
 # -- census -------------------------------------------------------------------
 
 
@@ -418,17 +451,16 @@ def test_census_n3_csv(capsys):
     rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
     assert set(rows) == {"3", "2-1", "1-1-1"}
     assert sum(int(r[1]) for r in rows.values()) == 6
-    assert rows["3"][3] == "true"  # k=1 is the only type with 2k <= 3
-    assert rows["2-1"][2] == "" and rows["2-1"][3] == "false"
-    assert rows["1-1-1"][2] == "" and rows["1-1-1"][3] == "false"
-    assert all(r[5] == "" for r in rows.values())  # no worst-case column content
+    # eq1_rhs = multinomial / k! on every type: 3!/3!, 3!/(2! 1! 2!), 3!/3!
+    assert [rows[t][2] for t in ("3", "2-1", "1-1-1")] == ["1.000000", "1.500000", "1.000000"]
+    assert all(r[4] == "" for r in rows.values())  # no worst-case column content
 
 
 def test_census_n1(capsys):
     code, stdout, _ = run(capsys, "census", "--n", "1")
     rows = stdout.strip().splitlines()[1:]
     assert code == 0
-    assert rows == ["1,1,,false,0,"]
+    assert rows == ["1,1,1.000000,0,"]
 
 
 def test_census_worstcase_column(capsys):
@@ -436,36 +468,36 @@ def test_census_worstcase_column(capsys):
     assert code == 0
     for line in stdout.strip().splitlines()[1:]:
         cols = line.split(",")
-        wc, info_bits = int(cols[5]), int(cols[4])
+        wc, info_bits = int(cols[4]), int(cols[3])
         assert wc >= info_bits
 
 
 # `presort census --n 8 --worstcase psort-median` without its eq1_rhs
 # column, as the permutation-walk census printed it.
 CENSUS_8_MEDIAN = """\
-type,nu,applicable,info_bits,worst_case_comparisons
-8,1,true,0,7
-4-4,69,true,7,26
-5-3,110,true,7,26
-6-2,54,true,6,24
-7-1,14,true,4,20
-3-3-2,1403,true,11,29
-4-2-2,1011,true,10,29
-4-3-1,1150,true,11,28
-5-2-1,646,true,10,27
-6-1-1,83,true,7,24
-2-2-2-2,1385,true,11,30
-3-2-2-1,8660,true,14,30
-3-3-1-1,2226,true,12,29
-4-2-1-1,3080,true,12,29
-5-1-1-1,268,true,9,27
-2-2-2-1-1,7954,false,13,30
-3-2-1-1-1,7164,false,13,30
-4-1-1-1-1,501,false,9,29
-2-2-1-1-1-1,3771,false,12,30
-3-1-1-1-1-1,522,false,10,30
-2-1-1-1-1-1-1,247,false,8,30
-1-1-1-1-1-1-1-1,1,false,0,29
+type,nu,info_bits,worst_case_comparisons
+8,1,0,7
+4-4,69,7,26
+5-3,110,7,26
+6-2,54,6,24
+7-1,14,4,20
+3-3-2,1403,11,29
+4-2-2,1011,10,29
+4-3-1,1150,11,28
+5-2-1,646,10,27
+6-1-1,83,7,24
+2-2-2-2,1385,11,30
+3-2-2-1,8660,14,30
+3-3-1-1,2226,12,29
+4-2-1-1,3080,12,29
+5-1-1-1,268,9,27
+2-2-2-1-1,7954,13,30
+3-2-1-1-1,7164,13,30
+4-1-1-1-1,501,9,29
+2-2-1-1-1-1,3771,12,30
+3-1-1-1-1-1,522,10,30
+2-1-1-1-1-1-1,247,8,30
+1-1-1-1-1-1-1-1,1,0,29
 """
 
 
@@ -474,6 +506,19 @@ def test_census_n8_worstcase_golden(capsys):
     assert code == 0
     rows = [line.split(",") for line in stdout.splitlines()]
     assert "".join(",".join(cols[:2] + cols[3:]) + "\n" for cols in rows) == CENSUS_8_MEDIAN
+
+
+@pytest.mark.parametrize("algo", ["psort-randmid", "psort-fr"])
+def test_census_worstcase_pivot_kinds_coincide(capsys, algo):
+    """Worst-case sweeps stop at SMALL_SEGMENT, where partition_sort never
+    selects a pivot, so every pivot kind prints the median's census."""
+    assert MAX_WORST_CASE_N <= SMALL_SEGMENT
+    argv = ["census", "--n", str(MAX_WORST_CASE_N), "--worstcase"]
+    assert run(capsys, *argv, algo) == run(capsys, *argv, "psort-median")
+
+
+def test_census_has_no_seed_flag(capsys):
+    assert run(capsys, "census", "--n", "3", "--seed", "1")[0] == 1
 
 
 def test_census_range_errors(capsys):

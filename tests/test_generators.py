@@ -117,6 +117,36 @@ def test_realize_then_decompose_is_identity(sizes, seed):
     assert decompose_maximal(seq).size_multiset() == tuple(sorted(sizes, reverse=True))
 
 
+def partitions(n, most=None):
+    """Every block-size multiset of n, each as a non-increasing tuple."""
+    most = n if most is None else most
+    if n == 0:
+        yield ()
+    for first in range(min(n, most), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_realize_every_type_up_to_9():
+    """The repair ends in exactly the requested type, in either block order."""
+    for n, count in zip(range(1, 10), [1, 2, 3, 5, 7, 11, 15, 22, 30]):
+        types = list(partitions(n))
+        assert len(types) == count  # every multiset of n is tried
+        for sizes in types:
+            for order in (sizes, sizes[::-1]):
+                for seed in range(4):
+                    seq = realize_sorted_type(order, seed=seed)
+                    assert decompose_maximal(seq).size_multiset() == sizes, (order, seed)
+                    assert sorted(seq.keys()) == list(range(1, n + 1))
+
+
+def test_realize_all_singletons_at_200():
+    """n singleton blocks take the longest repair: every boundary must flip."""
+    seq = realize_sorted_type((1,) * 200, seed=0)
+    assert decompose_maximal(seq).size_multiset() == (1,) * 200
+    assert seq.keys() == list(range(200, 0, -1))
+
+
 def test_realize_larger_vectors():
     rng = random.Random(0)
     for trial in range(25):

@@ -23,3 +23,23 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name}: imported but never used (line, name): {unused}"
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_perfbench_imports_exist():
+    """Every name the benchmark imports from presort is still exported.
+
+    The benchmark module is parsed, not imported, so this holds without
+    running its set-up."""
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "presort"
+        for alias in node.names
+    ]
+    assert names, "perfbench/workloads.py no longer imports from presort"
+    missing = [name for name in names if not hasattr(presort, name)]
+    assert missing == [], f"perfbench/workloads.py imports names presort lacks: {missing}"
