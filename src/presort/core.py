@@ -13,22 +13,13 @@ import os
 import re
 from itertools import count, islice
 from operator import eq, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 KEY_MIN = -(2**63)
 KEY_MAX = 2**63 - 1
 
-
-class Item(NamedTuple):
-    """The shape of an item: 64-bit signed key plus its original position.
-
-    Items are stored as plain (key, tag) tuples, which compare and hash
-    equal to an Item of the same fields; code reads them by index or
-    unpacking.  A Sequence may still be built from Items.
-    """
-
-    key: int
-    tag: int
+# An item: a 64-bit signed key and its original position.
+Item = tuple[int, int]
 
 
 class Sequence:
@@ -41,8 +32,8 @@ class Sequence:
 
     __slots__ = ("items",)
 
-    def __init__(self, items: Iterable[tuple[int, int]]):
-        self.items: tuple[tuple[int, int], ...] = tuple(items)
+    def __init__(self, items: Iterable[Item]):
+        self.items: tuple[Item, ...] = tuple(items)
 
     @classmethod
     def from_keys(cls, keys: Iterable[int]) -> "Sequence":
@@ -60,20 +51,11 @@ class Sequence:
     def tags(self) -> list[int]:
         return list(map(itemgetter(1), self.items))
 
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
+    def __iter__(self) -> Iterator[Item]:
         return iter(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(self.items)
 
     def __repr__(self) -> str:
         if self.n > 12:

@@ -92,7 +92,7 @@ def _displacement(n: int, k: int, seed: int) -> Sequence:
     by exactly k, so the maximum is hit, not just bounded.
     """
     keys = list(range(1, n + 1))
-    if k == 0 or n == 0:
+    if k == 0:
         return Sequence.from_keys(keys)
     rng = random.Random(seed)
     width = k + 1
@@ -112,8 +112,6 @@ def _displacement(n: int, k: int, seed: int) -> Sequence:
 
 
 def _multiset(n: int, h: int, seed: int) -> Sequence:
-    if n == 0:
-        return Sequence.from_keys(())
     rng = random.Random(seed)
     keys = list(range(1, h + 1)) + [rng.randint(1, h) for _ in range(n - h)]
     rng.shuffle(keys)
@@ -125,10 +123,19 @@ def realize_sorted_type(sizes, seed: int = 0) -> Sequence:
 
     Block i is handed the next run of consecutive keys, the block labels
     are shuffled into a random interleaving, and each block's keys are
-    written in increasing order at its label positions.  That alone can
-    leave adjacent rank-blocks mergeable (the later block starting past
-    the earlier one's end); _repair unmerges them, and its docstring says
-    why the result always has exactly the requested sizes.
+    written in increasing order at its label positions.  Boundary b then
+    merges if block b ends before block b+1 begins.  To unmerge them, take
+    a block's first and last positions as its slots (one for a single
+    key).  A chain holds, in block order, the last slot of a block of >= 2
+    keys (or the start), each single-key slot after it, and the first slot
+    of the next such block (or the end).  Each chain's positions are dealt
+    back in decreasing order, slot (c, i) keeping c's (i+1)-th key.  Every
+    boundary's two slots are adjacent in one chain, so it breaks; a first
+    slot only moves earlier and a last slot only later, so no block breaks
+    inside.  Sweeping the merging boundaries and swapping their slots ends
+    in this same layout: a swap stays inside one chain and keeps each
+    slot's key, and the sweep stops only once positions strictly decrease
+    along every chain, which one assignment of the chain's positions does.
     """
     sizes = list(sizes)
     n = sum(sizes)
@@ -143,29 +150,14 @@ def realize_sorted_type(sizes, seed: int = 0) -> Sequence:
         handed[b] += 1
         keys[pos] = handed[b]
         positions[b].append(pos)
-    _repair(keys, positions)
+    # Each chain's slots in block order, as (key, position) pairs.
+    chains: list[list[tuple[int, int]]] = [[]]
+    for b, size in enumerate(sizes):
+        chains[-1].append((handed[b] - size + 1, positions[b][0]))
+        if size > 1:
+            chains.append([(handed[b], positions[b][-1])])
+    for chain in chains:
+        slot_keys, slot_positions = zip(*chain)
+        for key, pos in zip(slot_keys, sorted(slot_positions, reverse=True)):
+            keys[pos] = key
     return Sequence.from_keys(keys)
-
-
-def _repair(keys: list[int], positions: list[list[int]]) -> None:
-    """Sweep rank-block boundaries, unmerging any that chain, until a
-    sweep makes no swap.
-
-    Boundary b merges when block b ends before block b+1 begins.  The swap
-    moves block b's last item later and block b+1's first item earlier,
-    so each block's keys stay increasing along its positions.  When no
-    boundary merges, the rank chain breaks at every boundary and nowhere
-    inside a block, so every block is maximal and the sizes are exact.
-    No label of block b or b+1 lies between the swapped positions, so each
-    swap adds exactly one inversion to the block labels read in position
-    order; there are at most C(n, 2), so the sweeps end.
-    """
-    swapped = True
-    while swapped:
-        swapped = False
-        for left, right in zip(positions, positions[1:]):
-            p, q = left[-1], right[0]
-            if p < q:
-                keys[p], keys[q] = keys[q], keys[p]
-                left[-1], right[0] = q, p
-                swapped = True

@@ -34,12 +34,6 @@ from .core import Item, Meter, Sequence
 # instead of partitioning further.
 SMALL_SEGMENT = 8
 
-# Empirical ceiling for select_exact_median: comparisons <= factor * n
-# (plus a small additive term for tiny inputs).  Worst observed across
-# sorted/reverse/random/organ-pipe/duplicate-heavy inputs up to n = 2**16
-# is 10.7 comparisons per element (reverse order); 16 leaves headroom.
-MEDIAN_SELECT_FACTOR = 16
-
 # Sampling attempts select_random_middle makes before giving up and
 # falling back to the deterministic selector.
 RANDOM_MIDDLE_ATTEMPT_CAP = 64

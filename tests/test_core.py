@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from presort.core import (
     KEY_MAX,
     KEY_MIN,
-    Item,
     Meter,
     Sequence,
     SequenceFormatError,
@@ -24,7 +23,7 @@ from vectors import SWAPPED_PAIRS16
 
 def test_sequence_from_keys_assigns_tags_in_order():
     s = Sequence.from_keys([9, 3, 9])
-    assert s.items == (Item(9, 0), Item(3, 1), Item(9, 2))
+    assert s.items == ((9, 0), (3, 1), (9, 2))
     assert s.n == 3
     assert s.keys() == [9, 3, 9]
     assert s.tags() == [0, 1, 2]
@@ -80,14 +79,14 @@ def test_first_descent_trace_matches_fast_path(keys):
 
 
 def test_verify_accepts_stable_sort():
-    inp = Sequence([Item(2, 0), Item(1, 1), Item(2, 2)])
-    out = Sequence([Item(1, 1), Item(2, 0), Item(2, 2)])
+    inp = Sequence([(2, 0), (1, 1), (2, 2)])
+    out = Sequence([(1, 1), (2, 0), (2, 2)])
     assert verify_sorted_stable_permutation(inp, out)
 
 
 def test_verify_rejects_equal_keys_out_of_tag_order():
-    inp = Sequence([Item(2, 0), Item(1, 1), Item(2, 2)])
-    out = Sequence([Item(1, 1), Item(2, 2), Item(2, 0)])
+    inp = Sequence([(2, 0), (1, 1), (2, 2)])
+    out = Sequence([(1, 1), (2, 2), (2, 0)])
     assert not verify_sorted_stable_permutation(inp, out)
 
 
@@ -100,7 +99,7 @@ def test_verify_rejects_length_and_multiset_mismatch():
     a = Sequence.from_keys([1, 2])
     assert not verify_sorted_stable_permutation(a, Sequence.from_keys([1]))
     # same keys but tags are not the input's tags
-    forged = Sequence([Item(1, 1), Item(2, 0)])
+    forged = Sequence([(1, 1), (2, 0)])
     assert not verify_sorted_stable_permutation(a, forged)
     assert not verify_sorted_stable_permutation(a, Sequence.from_keys([1, 3]))
 

@@ -1,9 +1,11 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presort.core import Sequence
 from presort.generators import FAMILIES, GenSpec, generate, realize_sorted_type
 from presort.measures import decompose_maximal, max_displacement
 
@@ -127,8 +129,53 @@ def partitions(n, most=None):
             yield (first,) + rest
 
 
+def sweep_reference(sizes, seed=0):
+    """realize_sorted_type as it was before the chain construction: the
+    same shuffle and key walk, then the sweep below until no boundary
+    merges.  Quadratic on long chains of single-key blocks, so only the
+    small cases use it."""
+    sizes = list(sizes)
+    n = sum(sizes)
+    labels = [b for b, size in enumerate(sizes) for _ in range(size)]
+    random.Random(seed).shuffle(labels)
+    keys = [0] * n
+    positions = [[] for _ in sizes]
+    handed = list(accumulate(sizes, initial=0))
+    for pos, b in enumerate(labels):
+        handed[b] += 1
+        keys[pos] = handed[b]
+        positions[b].append(pos)
+    _repair(keys, positions)
+    return Sequence.from_keys(keys)
+
+
+def _repair(keys: list[int], positions: list[list[int]]) -> None:
+    """Sweep rank-block boundaries, unmerging any that chain, until a
+    sweep makes no swap.
+
+    Boundary b merges when block b ends before block b+1 begins.  The swap
+    moves block b's last item later and block b+1's first item earlier,
+    so each block's keys stay increasing along its positions.  When no
+    boundary merges, the rank chain breaks at every boundary and nowhere
+    inside a block, so every block is maximal and the sizes are exact.
+    No label of block b or b+1 lies between the swapped positions, so each
+    swap adds exactly one inversion to the block labels read in position
+    order; there are at most C(n, 2), so the sweeps end.
+    """
+    swapped = True
+    while swapped:
+        swapped = False
+        for left, right in zip(positions, positions[1:]):
+            p, q = left[-1], right[0]
+            if p < q:
+                keys[p], keys[q] = keys[q], keys[p]
+                left[-1], right[0] = q, p
+                swapped = True
+
+
 def test_realize_every_type_up_to_9():
-    """The repair ends in exactly the requested type, in either block order."""
+    """Every type comes out exact, in either block order, and byte for
+    byte as the sweep builds it."""
     for n, count in zip(range(1, 10), [1, 2, 3, 5, 7, 11, 15, 22, 30]):
         types = list(partitions(n))
         assert len(types) == count  # every multiset of n is tried
@@ -138,13 +185,32 @@ def test_realize_every_type_up_to_9():
                     seq = realize_sorted_type(order, seed=seed)
                     assert decompose_maximal(seq).size_multiset() == sizes, (order, seed)
                     assert sorted(seq.keys()) == list(range(1, n + 1))
+                    assert seq == sweep_reference(order, seed), (order, seed)
 
 
-def test_realize_all_singletons_at_200():
-    """n singleton blocks take the longest repair: every boundary must flip."""
-    seq = realize_sorted_type((1,) * 200, seed=0)
-    assert decompose_maximal(seq).size_multiset() == (1,) * 200
-    assert seq.keys() == list(range(200, 0, -1))
+def test_realize_matches_sweep_on_chains():
+    """Seeded differential: chains of single-key blocks around longer
+    blocks, and mixes of 1s and 2s, where the sweep moves the most."""
+    rng = random.Random(9)
+    for trial in range(2000):
+        if trial % 2:
+            sizes = [rng.choice((1, 2)) for _ in range(rng.randint(1, 40))]
+        else:
+            sizes = []
+            for _ in range(rng.randint(1, 5)):
+                sizes += [1] * rng.randint(0, 12) + [rng.randint(2, 30)]
+            sizes += [1] * rng.randint(0, 12)
+        seed = rng.randrange(10**6)
+        assert realize_sorted_type(sizes, seed) == sweep_reference(sizes, seed), (sizes, seed)
+
+
+@pytest.mark.parametrize("n", [200, 100_000])
+def test_realize_all_singletons(n):
+    """n single-key blocks form one chain: every boundary must break, which
+    took the sweep n passes."""
+    seq = realize_sorted_type((1,) * n, seed=0)
+    assert decompose_maximal(seq).size_multiset() == (1,) * n
+    assert seq.keys() == list(range(n, 0, -1))
 
 
 def test_realize_larger_vectors():

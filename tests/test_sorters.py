@@ -10,7 +10,6 @@ from presort.core import Meter, Sequence, verify_sorted_stable_permutation
 from presort.generators import GenSpec, generate
 from presort.measures import count_runs, inversions, max_displacement
 from presort.sorters import (
-    MEDIAN_SELECT_FACTOR,
     RANDOM_MIDDLE_ATTEMPT_CAP,
     PivotStrategy,
     _group_medians,
@@ -35,6 +34,12 @@ from counting import CountingKey, counting_items, counting_keys, executed
 from vectors import BLOCKS16, SORTED16, SWAPPED_PAIRS16
 
 STRATEGIES = [PivotStrategy("median"), PivotStrategy("randmid", 3), PivotStrategy("fr", 3)]
+
+# Empirical ceiling for select_exact_median: comparisons <= factor * n
+# (plus a small additive term for tiny inputs).  Worst observed across
+# sorted/reverse/random/organ-pipe/duplicate-heavy inputs up to n = 2**16
+# is 10.7 comparisons per element (reverse order); 16 leaves headroom.
+MEDIAN_SELECT_FACTOR = 16
 
 
 def ref_sort(seq):

@@ -7,7 +7,8 @@ import pytest
 
 import presort
 
-MODULES = sorted(p for p in Path(presort.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(presort.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -43,3 +44,40 @@ def test_perfbench_imports_exist():
     assert names, "perfbench/workloads.py no longer imports from presort"
     missing = [name for name in names if not hasattr(presort, name)]
     assert missing == [], f"perfbench/workloads.py imports names presort lacks: {missing}"
+
+
+def _private_definitions(tree):
+    """Module-level private names a module defines: defs, classes, assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def test_private_names_are_used():
+    """Every module-level _name in the package is read somewhere in it, as a
+    name, an attribute or an import; a private helper nothing calls is dead."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    defined = [
+        (module, line, name)
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    assert defined, "no private module-level names found; the scan is broken"
+    dead = sorted(entry for entry in defined if entry[2] not in used)
+    assert dead == [], f"private names defined but never used (module, line, name): {dead}"
