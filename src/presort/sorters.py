@@ -2,9 +2,11 @@
 
 The flagship is partition_sort: a stable quicksort variant that first runs
 a cheap is-it-sorted scan at every level, so inputs (and sub-segments)
-that are already in order cost a linear scan and nothing else.  Its total
-comparison count tracks the entropy budget of the input's block
-decomposition; the acceptance suite calibrates and enforces that.
+that are already in order cost a linear scan and nothing else, and that
+finishes short segments by merging their natural runs instead of picking
+pivots.  Its total comparison count tracks the entropy budget of the
+input's block decomposition; the acceptance suite calibrates and enforces
+that.
 
 blocked_sort is the complementary specialist: two passes of mergesorting
 overlapping 2k-wide windows, which sorts any input whose items all sit
@@ -13,9 +15,9 @@ within k slots of their final position.
 Every key test inside any routine here is charged to the caller's Meter.
 Each kernel exists once and charges its tests in bulk.  Most charge exactly
 the tests they execute.  A few execute something cheaper (a binary search,
-an unrolled group sort, a built-in sort of two runs) but charge exactly the
-schedule of the plain per-test loop they stand for; the tests hold them to
-what that loop executes.
+an unrolled group sort, a built-in sort of two runs or of a whole segment)
+but charge exactly the schedule of the plain per-test loop they stand for;
+the tests hold them to what that loop executes.
 """
 
 from __future__ import annotations
@@ -30,9 +32,12 @@ from typing import Optional
 
 from .core import Item, Meter, Sequence
 
-# Segments at or below this length are finished with insertion sort
-# instead of partitioning further.
+# Unsorted segments at or below SMALL_SEGMENT are finished with insertion
+# sort, and the rest up to MERGE_SEGMENT with one natural merge, instead of
+# partitioning further.  Floyd-Rivest selection sorts its keys outright at
+# MERGE_SEGMENT or fewer.
 SMALL_SEGMENT = 8
+MERGE_SEGMENT = 64
 
 # Sampling attempts select_random_middle makes before giving up and
 # falling back to the deterministic selector.
@@ -214,73 +219,70 @@ def _group_medians(keys: list[int], m: Meter) -> list[int]:
     return medians
 
 
-def _merge_runs(runs: list[list[Item]], m: Meter) -> list[Item]:
-    """Stable counted merge of consecutive runs, pairwise round by round.
+def _merge_keys(runs: list[list[int]], m: Meter) -> tuple[list[int], int]:
+    """Merge consecutive sorted key runs pairwise, round by round.
 
-    Each round merges runs 0+1, 2+3, ... with the left-biased loop (ties
-    take from the left) and carries an odd last run over uncharged.  On
-    singletons this is bottom-up mergesort: at most len*ceil(log2 len)
-    comparisons.  Every merged item is one move.  Needs at least one run.
+    Returns the merged keys and the moves: every merged key is one move.
+    Each round merges runs 0+1, 2+3, ... and carries an odd last run over
+    uncharged.  A pair A, B is merged with sorted(A + B) but charged what
+    the left-biased per-test merge loop (ties take from the left) tests
+    before one run is used up: every key of the run that ends first, plus
+    the keys of the other run that the loop outputs before that run's last
+    key.  On singletons this is bottom-up mergesort: at most
+    len*ceil(log2 len) comparisons.  Needs at least one run.
     """
-    c = moved = 0
+    c = moves = 0
     while len(runs) > 1:
         merged = []
-        for r in range(1, len(runs), 2):
-            left, right = runs[r - 1], runs[r]
-            la, lb = len(left), len(right)
-            out: list[Item] = []
-            push = out.append
-            i = j = 0
-            while i < la and j < lb:
-                c += 1
-                if left[i][0] <= right[j][0]:
-                    push(left[i])
-                    i += 1
-                else:
-                    push(right[j])
-                    j += 1
-            out.extend(left[i:])
-            out.extend(right[j:])
-            moved += la + lb
-            merged.append(out)
+        push = merged.append
+        for i in range(1, len(runs), 2):
+            a, b = runs[i - 1], runs[i]
+            la, lb = len(a), len(b)
+            if a[-1] <= b[-1]:
+                c += la + bisect_left(b, a[-1])
+            else:
+                c += lb + bisect_right(a, b[-1])
+            moves += la + lb
+            push(sorted(a + b))
         if len(runs) % 2:
-            merged.append(runs[-1])
+            push(runs[-1])
         runs = merged
     m.comparisons += c
-    m.moves += moved
-    return runs[0]
+    return runs[0], moves
 
 
-def _merge_sort_keys(keys: list[int], m: Meter) -> list[int]:
-    """Counted bottom-up mergesort on bare keys (selection scratch work).
+def _merge_sort_keys(keys: list[int], m: Meter) -> tuple[list[int], int]:
+    """_merge_keys on singleton runs: counted bottom-up mergesort.
 
-    Merges each pair of runs A, B with sorted(A + B) and charges what the
-    left-biased merge loop of _merge_runs tests before one run is used up:
-    every key of the run that ends first, plus the keys of the other run
-    that the merge outputs before that run's last key.
+    Returns the sorted keys and the moves.  The first round's pairs are
+    built directly, one test and two moves each.
     """
     n = len(keys)
     if n <= 1:
-        return list(keys)
+        return list(keys), 0
     it = iter(keys)
     runs = [[x, y] if x <= y else [y, x] for x, y in zip(it, it)]
     if n % 2:
         runs.append([keys[-1]])
-    c = n // 2
-    while len(runs) > 1:
-        merged = []
-        for i in range(0, len(runs) - 1, 2):
-            a, b = runs[i], runs[i + 1]
-            if a[-1] <= b[-1]:
-                c += len(a) + bisect_left(b, a[-1])
-            else:
-                c += len(b) + bisect_right(a, b[-1])
-            merged.append(sorted(a + b))
-        if len(runs) % 2:
-            merged.append(runs[-1])
-        runs = merged
-    m.comparisons += c
-    return runs[0]
+    m.comparisons += n // 2
+    merged, moves = _merge_keys(runs, m)
+    return merged, moves + n - n % 2
+
+
+def _natural_merge_items(items: list[Item], keys: list[int], m: Meter) -> list[Item]:
+    """Stable natural merge sort of items, whose keys are keys.
+
+    Finds the non-decreasing runs with n-1 charged tests, then charges
+    _merge_keys on the runs' keys.  A stable sort has only one correct
+    output, so the built-in stable sort by key returns the merge's result.
+    """
+    n = len(items)
+    if n <= 1:
+        return list(items)
+    starts = [0, *compress(count(1), map(gt, keys, islice(keys, 1, None))), n]
+    m.comparisons += n - 1
+    m.moves += _merge_keys([keys[a:b] for a, b in zip(starts, islice(starts, 1, None))], m)[1]
+    return sorted(items, key=itemgetter(0))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +349,6 @@ def _randmid_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, 
     return _select_kth_key(keys, (n + 1) // 2, m), RANDOM_MIDDLE_ATTEMPT_CAP
 
 
-# Below this size, sampling selection just sorts its input.
-_FR_SMALL = 64
-
-
 def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
     """Key of rank ceil(n/2) by sampling selection; returns (key, bracket_misses).
 
@@ -367,12 +365,10 @@ def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
     misses = 0
     while True:
         n = len(keys)
-        if n <= _FR_SMALL:
-            arr = _merge_sort_keys(keys, m)
-            return arr[k - 1], misses
-        size = min(n - 1, max(_FR_SMALL // 2, round(n ** (2.0 / 3.0))))
-        sample = [keys[i] for i in rng.sample(range(n), size)]
-        sample = _merge_sort_keys(sample, m)
+        if n <= MERGE_SEGMENT:
+            return _merge_sort_keys(keys, m)[0][k - 1], misses
+        size = min(n - 1, max(MERGE_SEGMENT // 2, round(n ** (2.0 / 3.0))))
+        sample = _merge_sort_keys(rng.sample(keys, size), m)[0]
         t = k * size / n
         margin = int(math.sqrt(size * math.log(n))) + 1
         iu = max(0, int(t) - margin)
@@ -470,13 +466,7 @@ def natural_merge_sort(s: Sequence, m: Optional[Meter] = None) -> SortOutcome:
     """
     m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
-    items = list(s.items)
-    n = len(items)
-    if n > 1:
-        keys = list(map(itemgetter(0), items))
-        starts = [0, *compress(count(1), map(gt, keys, islice(keys, 1, None))), n]
-        m.comparisons += n - 1
-        items = _merge_runs([items[a:b] for a, b in zip(starts, islice(starts, 1, None))], m)
+    items = _natural_merge_items(list(s.items), s.keys(), m)
     return SortOutcome(Sequence(items), m.comparisons - c0, m.moves - v0)
 
 
@@ -488,6 +478,8 @@ def _psort(items: list[Item], select, rng, m: Meter, depth: int) -> tuple[list[I
         return items, 0, depth
     if len(items) <= SMALL_SEGMENT:
         return _insertion_items(items, m), 0, depth
+    if len(items) <= MERGE_SEGMENT:
+        return _natural_merge_items(items, keys, m), 0, depth
     pivot, retries = select(keys, rng, m)
     lo, eq, hi = _partition3_items(items, pivot, m)
     out, lo_retries, lo_depth = _psort(lo, select, rng, m, depth + 1)
@@ -502,8 +494,11 @@ def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = No
 
     Every level, top call included, starts with the is-sorted scan and
     returns immediately when the segment is already in order, so a sorted
-    input of length n costs exactly n-1 comparisons.  Unsorted segments
-    longer than SMALL_SEGMENT pick a pivot per the strategy, split stably
+    input of length n costs exactly n-1 comparisons.  An unsorted segment
+    of at most SMALL_SEGMENT keys is insertion-sorted, and one of at most
+    MERGE_SEGMENT keys is merge-sorted from its natural runs, charged as
+    natural_merge_sort (its run scan re-tests the pairs the is-sorted scan
+    passed).  Longer segments pick a pivot per the strategy, split stably
     three ways, and recurse on the outer parts; duplicates of the pivot
     are done the moment they land in the middle.  Comparisons spent
     finding and verifying pivots are charged like any others.
@@ -511,8 +506,8 @@ def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = No
     m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
     select = _SELECTORS[strategy.kind]
-    # A Random costs microseconds, and no segment of <= SMALL_SEGMENT selects.
-    rng = None if select is _median_pivot or s.n <= SMALL_SEGMENT else random.Random(strategy.seed)
+    # A Random costs microseconds, and no segment of <= MERGE_SEGMENT selects.
+    rng = None if select is _median_pivot or s.n <= MERGE_SEGMENT else random.Random(strategy.seed)
     out, retries, max_depth = _psort(list(s.items), select, rng, m, 1)
     return SortOutcome(
         Sequence(out),
@@ -546,7 +541,9 @@ def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
     items = list(s.items)
     for first in (0, k):
         for lo in range(first, n, 2 * k):
-            items[lo : lo + 2 * k] = _merge_runs([[it] for it in items[lo : lo + 2 * k]], m)
+            window = items[lo : lo + 2 * k]
+            m.moves += _merge_sort_keys([it[0] for it in window], m)[1]
+            items[lo : lo + 2 * k] = sorted(window, key=itemgetter(0))
     keys = list(map(itemgetter(0), items))
     is_sorted = all(keys[i] <= keys[i + 1] for i in range(n - 1))
     return SortOutcome(

@@ -356,36 +356,36 @@ multiset,16,h=5,insertion,,0,60,58,52.512317,1.936278,1.142589,0
 multiset,16,h=5,insertion,,1,76,73,56.308254,2.227217,1.349713,0
 multiset,16,h=5,natmerge,,0,51,45,52.512317,1.936278,0.971201,0
 multiset,16,h=5,natmerge,,1,51,46,56.308254,2.227217,0.905729,0
-multiset,16,h=5,psort,fr,0,85,23,52.512317,1.936278,1.618668,0
-multiset,16,h=5,psort,median,0,119,23,52.512317,1.936278,2.266135,0
-multiset,16,h=5,psort,randmid,0,627,25,52.512317,1.936278,11.940056,0
-multiset,16,h=5,psort,fr,1,106,36,56.308254,2.227217,1.882495,0
-multiset,16,h=5,psort,median,1,145,36,56.308254,2.227217,2.575111,0
-multiset,16,h=5,psort,randmid,1,75,36,56.308254,2.227217,1.331954,0
+multiset,16,h=5,psort,fr,0,52,45,52.512317,1.936278,0.990244,0
+multiset,16,h=5,psort,median,0,52,45,52.512317,1.936278,0.990244,0
+multiset,16,h=5,psort,randmid,0,52,45,52.512317,1.936278,0.990244,0
+multiset,16,h=5,psort,fr,1,55,46,56.308254,2.227217,0.976766,0
+multiset,16,h=5,psort,median,1,55,46,56.308254,2.227217,0.976766,0
+multiset,16,h=5,psort,randmid,1,55,46,56.308254,2.227217,0.976766,0
 sorted-type,16,type=8-8,blocked,,0,46,80,41.359400,1.000000,1.112202,0
 sorted-type,16,type=8-8,blocked,,1,50,80,41.359400,1.000000,1.208915,0
 sorted-type,16,type=8-8,insertion,,0,47,41,41.359400,1.000000,1.136380,0
 sorted-type,16,type=8-8,insertion,,1,38,30,41.359400,1.000000,0.918775,0
 sorted-type,16,type=8-8,natmerge,,0,46,38,41.359400,1.000000,1.112202,0
 sorted-type,16,type=8-8,natmerge,,1,46,43,41.359400,1.000000,1.112202,0
-sorted-type,16,type=8-8,psort,fr,0,82,16,41.359400,1.000000,1.982621,0
-sorted-type,16,type=8-8,psort,median,0,88,16,41.359400,1.000000,2.127690,0
-sorted-type,16,type=8-8,psort,randmid,0,104,30,41.359400,1.000000,2.514543,0
-sorted-type,16,type=8-8,psort,fr,1,82,16,41.359400,1.000000,1.982621,0
-sorted-type,16,type=8-8,psort,median,1,121,16,41.359400,1.000000,2.925574,0
-sorted-type,16,type=8-8,psort,randmid,1,118,30,41.359400,1.000000,2.853039,0
+sorted-type,16,type=8-8,psort,fr,0,48,38,41.359400,1.000000,1.160558,0
+sorted-type,16,type=8-8,psort,median,0,48,38,41.359400,1.000000,1.160558,0
+sorted-type,16,type=8-8,psort,randmid,0,48,38,41.359400,1.000000,1.160558,0
+sorted-type,16,type=8-8,psort,fr,1,48,43,41.359400,1.000000,1.160558,0
+sorted-type,16,type=8-8,psort,median,1,48,43,41.359400,1.000000,1.160558,0
+sorted-type,16,type=8-8,psort,randmid,1,48,43,41.359400,1.000000,1.160558,0
 transpose,16,,blocked,,0,40,80,41.359400,1.000000,0.967132,0
 transpose,16,,blocked,,1,40,80,41.359400,1.000000,0.967132,0
 transpose,16,,insertion,,0,78,72,41.359400,1.000000,1.885907,0
 transpose,16,,insertion,,1,78,72,41.359400,1.000000,1.885907,0
 transpose,16,,natmerge,,0,23,16,41.359400,1.000000,0.556101,0
 transpose,16,,natmerge,,1,23,16,41.359400,1.000000,0.556101,0
-transpose,16,,psort,fr,0,78,16,41.359400,1.000000,1.885907,0
-transpose,16,,psort,median,0,94,16,41.359400,1.000000,2.272760,0
-transpose,16,,psort,randmid,0,109,27,41.359400,1.000000,2.635435,0
-transpose,16,,psort,fr,1,78,16,41.359400,1.000000,1.885907,0
-transpose,16,,psort,median,1,94,16,41.359400,1.000000,2.272760,0
-transpose,16,,psort,randmid,1,111,41,41.359400,1.000000,2.683791,0
+transpose,16,,psort,fr,0,31,16,41.359400,1.000000,0.749527,0
+transpose,16,,psort,median,0,31,16,41.359400,1.000000,0.749527,0
+transpose,16,,psort,randmid,0,31,16,41.359400,1.000000,0.749527,0
+transpose,16,,psort,fr,1,31,16,41.359400,1.000000,0.749527,0
+transpose,16,,psort,median,1,31,16,41.359400,1.000000,0.749527,0
+transpose,16,,psort,randmid,1,31,16,41.359400,1.000000,0.749527,0
 """
 
 

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presort import sorters
 from presort.core import Meter, Sequence, verify_sorted_stable_permutation
 from presort.generators import GenSpec, generate
 from presort.measures import count_runs, inversions, max_displacement
 from presort.sorters import (
+    MERGE_SEGMENT,
     RANDOM_MIDDLE_ATTEMPT_CAP,
     PivotStrategy,
     _group_medians,
     _insertion_items,
     _insertion_sort_keys,
-    _merge_runs,
     _merge_sort_keys,
     _partition3_items,
     _split3_keys,
@@ -50,6 +51,46 @@ def ref_sort(seq):
 def rank_key(keys, rank):
     """Key of the given 1-based rank."""
     return sorted(keys)[rank - 1]
+
+
+def merge_runs(runs, m):
+    """Per-test reference for sorters._merge_keys, on item runs.
+
+    Each round merges runs 0+1, 2+3, ... with the left-biased loop (ties
+    take from the left) and carries an odd last run over uncharged.  Every
+    test is charged as it runs, and every merged item is one move.  Needs
+    at least one run.
+    """
+    c = moved = 0
+    while len(runs) > 1:
+        merged = []
+        for r in range(1, len(runs), 2):
+            left, right = runs[r - 1], runs[r]
+            out = []
+            i = j = 0
+            while i < len(left) and j < len(right):
+                c += 1
+                if left[i][0] <= right[j][0]:
+                    out.append(left[i])
+                    i += 1
+                else:
+                    out.append(right[j])
+                    j += 1
+            out += left[i:] + right[j:]
+            moved += len(left) + len(right)
+            merged.append(out)
+        if len(runs) % 2:
+            merged.append(runs[-1])
+        runs = merged
+    m.comparisons += c
+    m.moves += moved
+    return runs[0]
+
+
+def natural_runs(items):
+    """items cut at each descent into its maximal non-decreasing runs."""
+    starts = [0, *(i for i in range(1, len(items)) if int(items[i - 1][0]) > int(items[i][0]))]
+    return [items[a:b] for a, b in zip(starts, starts[1:] + [len(items)])]
 
 
 # -- stable partition ----------------------------------------------------------
@@ -223,7 +264,7 @@ def test_psort_sorted_input_costs_exactly_n_minus_1(strategy):
 def test_psort_sorts_and_is_stable(strategy):
     rng = random.Random(41)
     for trial in range(60):
-        n = rng.randint(0, 70)
+        n = rng.randint(0, 300)
         keys = [rng.randint(0, 9) for _ in range(n)]
         s = Sequence.from_keys(keys)
         out = partition_sort(s, strategy, Meter())
@@ -238,14 +279,36 @@ def test_psort_blocks_vector_sorts_to_baseline():
 
 
 def test_psort_half_swap_structure():
-    # n=16 keeps both halves above the small-segment cutoff: one partition
-    # level, then each half passes its sorted check
-    s = Sequence.from_keys([9, 10, 11, 12, 13, 14, 15, 16, 1, 2, 3, 4, 5, 6, 7, 8])
+    # n=256 keeps both halves above the merge leaf: one partition level,
+    # then each half passes its sorted check
+    s = Sequence.from_keys([*range(129, 257), *range(1, 129)])
     out = partition_sort(s, PivotStrategy("median"), Meter())
     assert out.max_recursion_depth == 2
     assert out.output.keys() == sorted(s.keys())
-    budget = 16 * math.log2(3) + 16
+    budget = 256 * math.log2(3) + 256
     assert out.comparisons <= 12 * budget
+
+
+def test_psort_selects_only_above_the_merge_leaf(monkeypatch):
+    """Segments of at most MERGE_SEGMENT keys are finished without a pivot."""
+    sizes = []
+
+    def spy(select):
+        def recorded(keys, rng, m):
+            sizes.append(len(keys))
+            return select(keys, rng, m)
+
+        return recorded
+
+    for kind, select in list(sorters._SELECTORS.items()):
+        monkeypatch.setitem(sorters._SELECTORS, kind, spy(select))
+    rng = random.Random(17)
+    for trial in range(40):
+        n = rng.randint(0, 600)
+        s = Sequence.from_keys(rng.choices(range(rng.choice((3, 50, 10_000))), k=n))
+        for strategy in STRATEGIES:
+            assert partition_sort(s, strategy, Meter()).output.items == ref_sort(s).items
+    assert sizes and min(sizes) > MERGE_SEGMENT
 
 
 def test_psort_depth_bound():
@@ -443,24 +506,26 @@ def _battery(rng):
 # (comparisons, result).  None marks an input too short for the routine.
 # Recorded while every kernel still had a one-call-per-test twin whose
 # count the bulk charge was asserted to equal, so these are the per-test
-# schedules.
+# schedules.  The partition_sort columns were re-recorded when segments of
+# 9 to MERGE_SEGMENT keys became merge leaves, whose charge the counting
+# tests below hold to the per-test merge.
 PINNED_COUNTS = [
     ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0), (0, 0), None, None, None, None, None, None),
     ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 3), None, None),
     ((16, 0, 0, 1), (16, 0, 0, 1), (16, 0, 0, 1), (16, 0), (16, 0), (16, 32), (54, 94), (48, 81), (68, 8), (48, (8, 0)), (16, (10, 0))),
-    ((202, 87, 0, 2), (119, 72, 2, 3), (118, 87, 0, 2), (136, 152), (49, 81), (16, 32), (47, 94), (33, 81), (117, 9), (33, (9, 0)), (16, (7, 0))),
-    ((147, 55, 0, 2), (92, 52, 0, 3), (116, 55, 0, 2), (60, 62), (55, 48), (15, 30), (63, 88), (48, 64), (79, 39), (48, (39, 0)), (45, (56, 2))),
+    ((50, 81, 0, 1), (50, 81, 0, 1), (50, 81, 0, 1), (136, 152), (49, 81), (16, 32), (47, 94), (33, 81), (117, 9), (33, (9, 0)), (16, (7, 0))),
+    ((56, 48, 0, 1), (56, 48, 0, 1), (56, 48, 0, 1), (60, 62), (55, 48), (15, 30), (63, 88), (48, 64), (79, 39), (48, (39, 0)), (45, (56, 2))),
     ((10, 0, 0, 1), (10, 0, 0, 1), (10, 0, 0, 1), (10, 0), (10, 0), (10, 20), (27, 47), (23, 40), (32, 5), (23, (5, 0)), (672, (5, 64))),
     ((14, 13, 0, 1), (14, 13, 0, 1), (14, 13, 0, 1), (13, 13), (15, 14), (6, 12), (12, 21), (14, 20), (24, 5), (14, (5, 0)), (12, (3, 1))),
     ((21, 17, 0, 1), (21, 17, 0, 1), (21, 17, 0, 1), (18, 17), (16, 14), (6, 12), (11, 21), (12, 20), (50, 100), (12, (100, 0)), (12, (100, 1))),
-    ((290, 52, 0, 3), (256, 54, 9, 3), (232, 52, 0, 3), (155, 154), (93, 88), (23, 46), (101, 152), (85, 112), (132, 4), (85, (4, 0)), (23, (1, 0))),
-    ((386, 88, 0, 3), (218, 88, 2, 4), (257, 88, 0, 3), (189, 191), (96, 96), (23, 46), (97, 152), (81, 112), (152, 341), (81, (341, 0)), (92, (77, 3))),
-    ((424, 76, 0, 3), (1401, 94, 64, 4), (434, 76, 0, 3), (385, 385), (205, 193), (40, 80), (221, 313), (177, 234), (170, 3), (177, (3, 0)), (40, (3, 0))),
-    ((915, 166, 0, 4), (500, 178, 5, 4), (664, 166, 0, 4), (468, 471), (196, 190), (40, 80), (216, 313), (180, 234), (281, 518), (180, (518, 0)), (80, (812, 1))),
-    ((3397, 613, 0, 4), (1954, 703, 1, 4), (6651, 613, 0, 4), (19581, 19536), (2119, 2100), (299, 598), (2810, 3840), (2158, 2596), (1130, 4), (1930, (4, 0)), (598, (5, 1))),
-    ((13243, 2126, 0, 7), (6781, 2157, 49, 9), (14337, 2126, 0, 7), (22678, 22683), (2346, 2293), (299, 598), (2847, 3840), (2202, 2596), (2520, 508), (3332, (508, 0)), (299, (429, 0))),
+    ((94, 88, 0, 1), (94, 88, 0, 1), (94, 88, 0, 1), (155, 154), (93, 88), (23, 46), (101, 152), (85, 112), (132, 4), (85, (4, 0)), (23, (1, 0))),
+    ((97, 96, 0, 1), (97, 96, 0, 1), (97, 96, 0, 1), (189, 191), (96, 96), (23, 46), (97, 152), (81, 112), (152, 341), (81, (341, 0)), (92, (77, 3))),
+    ((206, 193, 0, 1), (206, 193, 0, 1), (206, 193, 0, 1), (385, 385), (205, 193), (40, 80), (221, 313), (177, 234), (170, 3), (177, (3, 0)), (40, (3, 0))),
+    ((198, 190, 0, 1), (198, 190, 0, 1), (198, 190, 0, 1), (468, 471), (196, 190), (40, 80), (216, 313), (180, 234), (281, 518), (180, (518, 0)), (80, (812, 1))),
+    ((3295, 789, 0, 3), (2005, 879, 1, 4), (6527, 789, 0, 3), (19581, 19536), (2119, 2100), (299, 598), (2810, 3840), (2158, 2596), (1130, 4), (1930, (4, 0)), (598, (5, 1))),
+    ((9155, 2246, 0, 4), (4621, 2229, 7, 5), (11604, 2246, 0, 4), (22678, 22683), (2346, 2293), (299, 598), (2847, 3840), (2202, 2596), (2520, 508), (3332, (508, 0)), (299, (429, 0))),
     ((12052, 2117, 0, 4), (8520, 2369, 6, 4), (18932, 2117, 0, 4), (220176, 220049), (8899, 8857), (999, 1998), (11731, 15798), (8412, 9984), (3878, 3), (7875, (3, 0)), (3996, (6, 3))),
-    ((62474, 8735, 0, 8), (26856, 8967, 149, 11), (60897, 8735, 0, 8), (245147, 245146), (9240, 8971), (999, 1998), (12005, 15798), (8717, 9984), (8656, 499), (7314, (499, 0)), (2997, (609, 2))),
+    ((44701, 9059, 0, 5), (19764, 9271, 20, 7), (48615, 9059, 0, 5), (245147, 245146), (9240, 8971), (999, 1998), (12005, 15798), (8717, 9984), (8656, 499), (7314, (499, 0)), (2997, (609, 2))),
 ]
 
 
@@ -540,22 +605,28 @@ def test_insertion_sort_keys_charges_executed_tests(keys):
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=12), min_size=1, max_size=9))
 def test_merge_runs_charges_executed_tests(runs):
+    """The reference merge charges exactly the tests it executes."""
     flat = counting_items(key for run in runs for key in sorted(run))
     bounds = list(itertools.accumulate(map(len, runs), initial=0))
     item_runs = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
     m = Meter()
-    merged, tests = executed(_merge_runs, item_runs, m)
+    merged, tests = executed(merge_runs, item_runs, m)
     assert merged == sorted(flat, key=lambda it: it[0])  # stable: ties keep run order
     assert m.comparisons == tests
 
 
-@given(st.lists(st.integers(-9, 9), max_size=80))
+@given(st.integers(0, 130).flatmap(lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
 def test_natural_merge_sort_charges_executed_tests(keys):
+    """The merge kernel (natural_merge_sort, partition_sort's merge leaves)
+    charges the n-1 tests of the run scan plus the tests the reference merge
+    executes on the same runs, and the reference's moves."""
     s = Sequence(counting_items(keys))  # from_keys would make plain ints
-    m = Meter()
-    out, tests = executed(natural_merge_sort, s, m)
-    assert out.output.items == ref_sort(s).items
-    assert out.comparisons == m.comparisons == tests
+    ref = Meter()
+    merged, tests = executed(merge_runs, natural_runs(list(s.items)), ref)
+    out = natural_merge_sort(s, Meter())
+    assert out.output.items == tuple(merged) == ref_sort(s).items
+    assert out.comparisons == max(len(keys) - 1, 0) + tests
+    assert out.moves == ref.moves
 
 
 @given(st.lists(st.integers(-9, 9), max_size=60))
@@ -605,26 +676,40 @@ def test_group_medians_short_final_group():
 
 
 def test_merge_sort_keys_fast_path_matches_traced():
-    """The sorted(A + B) merges charge what _merge_runs on singletons executes."""
+    """The sorted(A + B) merges charge what the reference on singletons executes."""
     empty = Meter()
-    assert _merge_sort_keys([], empty) == [] and empty.comparisons == 0
+    assert _merge_sort_keys([], empty) == ([], 0) and empty.comparisons == 0
     rng = random.Random(21)
     for alphabet in (2, 5, 1000):
         for n in range(1, 131):
             keys = rng.choices(range(alphabet), k=n)
             fast = Meter()
-            got = _merge_sort_keys(keys, fast)
+            got, moves = _merge_sort_keys(keys, fast)
             ref = Meter()
-            merged, tests = executed(_merge_runs, [[it] for it in counting_items(keys)], ref)
+            merged, tests = executed(merge_runs, [[it] for it in counting_items(keys)], ref)
             assert got == [key for key, _ in merged] == sorted(keys), (alphabet, n)
             assert fast.comparisons == ref.comparisons == tests, (alphabet, n)
+            assert moves == ref.moves, (alphabet, n)
+
+
+def test_fr_sample_draw_matches_index_draw():
+    """random.sample on the keys picks the keys at the indices it picks on
+    range(n), and leaves the generator in the same state."""
+    rng = random.Random(5)
+    cases = [(65536, 1625), (100000, 2154), (65, 32), (2, 1)]
+    cases += [(n, rng.randint(1, n - 1)) for n in (rng.randint(2, 5000) for _ in range(60))]
+    for seed, (n, size) in enumerate(cases):
+        keys = rng.choices(range(n), k=n)
+        by_index, by_key = random.Random(seed), random.Random(seed)
+        assert by_key.sample(keys, size) == [keys[i] for i in by_index.sample(range(n), size)]
+        assert by_key.getstate() == by_index.getstate(), (n, size)
 
 
 def test_readme_example_counts_pinned():
     """The README's `presort sort --algo psort --pivot median` figures."""
     s = generate(GenSpec("displacement", 100000, k=64, seed=7))
     out = partition_sort(s, exact_median(), Meter())
-    assert out.comparisons == 9372984
-    assert out.moves == 1134665
-    assert out.max_recursion_depth == 15
+    assert out.comparisons == 8997608
+    assert out.moves == 1106717
+    assert out.max_recursion_depth == 12
     assert out.output.keys() == sorted(s.keys())
