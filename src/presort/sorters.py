@@ -14,9 +14,9 @@ within k slots of their final position.
 
 Every key test inside any routine here is charged to the caller's Meter.
 Each kernel exists once and charges its tests in bulk.  Most charge exactly
-the tests they execute.  A few execute something cheaper (a binary search,
-an unrolled group sort, a built-in sort of two runs or of a whole segment)
-but charge exactly the schedule of the plain per-test loop they stand for;
+the tests they execute.  A few run something faster (a binary search, an
+unrolled group sort, built-in sorts, selection's full second pass) but
+charge exactly the schedule of the plain per-test loop they stand for;
 the tests hold them to what that loop executes.
 """
 
@@ -48,7 +48,7 @@ RANDOM_MIDDLE_ATTEMPT_CAP = 64
 class PivotStrategy:
     """How partition_sort picks pivots.
 
-    kind "median" finds the exact rank-ceil(n/2) key deterministically;
+    kind "median" finds the exact rank-ceil(n/2) key by rank-adaptive selection;
     "randmid" samples random elements until one lands in the middle half;
     "fr" uses sampling-based selection with high-probability brackets.
     Randomized kinds are reproducible from seed.
@@ -128,7 +128,7 @@ def _split3_keys(keys: list[int], u: int, v: int, m: Meter):
     """Split keys into (< u, [u..v], > v), keeping order; u <= v.
 
     One test settles "below u", a second separates "above v" from the
-    middle.  With u == v this is the three-way split around one pivot.
+    middle.  Floyd-Rivest splits around its bracket (u, v) with it.
     """
     lo: list[int] = []
     mid: list[int] = []
@@ -290,29 +290,53 @@ def _natural_merge_items(items: list[Item], keys: list[int], m: Meter) -> list[I
 
 
 def _select_kth_key(keys: list[int], k: int, m: Meter) -> int:
-    """Deterministic k-th smallest key (1-based), median-of-medians.
+    """Deterministic k-th smallest key (1-based); rank-adaptive, linear.
 
-    Linear worst case; every comparison is charged.  Mutates its argument.
+    With r the target's rank from its nearer end and 6r <= n, the pivot is
+    the r-th smallest of the minima of the first 2r groups of
+    size = n // 2r >= 3 keys (near the high end, mirrored with maxima).
+    At least r keys are <= it, so the target is below it or is it, and
+    (r+1)*size keys are >= it, so about n/2 at most are below.  Otherwise
+    it is the median of the groups-of-5 medians, with at most about 7n/10
+    keys on either side.  Both recursions shrink (n/3 + n/2, under 7n/8
+    exactly; n/5 + 7n/10), so the work is linear.  Keys above the median
+    pivot are taken in a second pass only when those below miss the
+    target, charged as testing just the keys not below (_split3_keys's
+    schedule).  Mutates its argument.
     """
     while True:
         n = len(keys)
         if n <= 5:
             _insertion_sort_keys(keys, m)
             return keys[k - 1]
+        low = 2 * k <= n + 1
+        r = k if low else n + 1 - k
+        if 6 * r <= n:
+            size = n // (2 * r)
+            ends = list(map(min if low else max, islice(zip(*[iter(keys)] * size), 2 * r)))
+            m.comparisons += 2 * r * (size - 1) + n
+            pivot = _select_kth_key(ends, r if low else r + 1, m)
+            keys = [x for x in keys if x < pivot] if low else [x for x in keys if x > pivot]
+            if r > len(keys):
+                return pivot
+            k = r if low else len(keys) + 1 - r
+            continue
         medians = _group_medians(keys, m)
         pivot = _select_kth_key(medians, (len(medians) + 1) // 2, m)
-        lo, eq, hi = _split3_keys(keys, pivot, pivot, m)
+        lo = [x for x in keys if x < pivot]
+        m.comparisons += n
         if k <= len(lo):
             keys = lo
-        elif k <= len(lo) + len(eq):
+            continue
+        hi = [x for x in keys if x > pivot]
+        m.comparisons += n - len(lo)
+        if k <= n - len(hi):
             return pivot
-        else:
-            k -= len(lo) + len(eq)
-            keys = hi
+        keys, k = hi, k - (n - len(hi))
 
 
 def _median_pivot(keys: list[int], rng, m: Meter) -> tuple[int, int]:
-    """Key of rank ceil(n/2), found deterministically in linear time.
+    """Key of rank ceil(n/2), found by _select_kth_key in linear time.
 
     Duplicate keys are fine: the returned key is the rank-ceil(n/2) entry
     of the multiset, which no tie-break can change.  Never retries.
@@ -399,7 +423,7 @@ PIVOT_KINDS = tuple(_SELECTORS)
 
 
 def select_exact_median(s: Sequence, m: Meter) -> int:
-    """The rank-ceil(n/2) key of s; see _median_pivot."""
+    """The rank-ceil(n/2) key of s, by rank-adaptive selection; see _median_pivot."""
     if s.n == 0:
         raise ValueError("median of empty sequence")
     return _median_pivot(s.keys(), None, m)[0]

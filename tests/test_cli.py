@@ -399,6 +399,28 @@ def test_bench_golden_bytes(capsys):
     assert stdout == BENCH_16_GOLDEN
 
 
+# At n = 16 every psort segment is a merge leaf; at n = 256 each pivot
+# kind selects, so its selection's comparisons show in the rows.
+BENCH_256_GOLDEN = """\
+family,n,param,algo,pivot,seed,comparisons,moves,bound_B,entropy_H,ratio,elapsed_ns
+displacement,256,k=16,psort,fr,0,7164,976,1063.241839,2.974385,6.737884,0
+displacement,256,k=16,psort,median,0,3319,976,1063.241839,2.974385,3.121585,0
+displacement,256,k=16,psort,randmid,0,3536,1018,1063.241839,2.974385,3.325678,0
+random,256,,psort,fr,0,7700,1814,2027.366452,6.906436,3.798031,0
+random,256,,psort,median,0,4870,1814,2027.366452,6.906436,2.402131,0
+random,256,,psort,randmid,0,3482,1880,2027.366452,6.906436,1.717499,0
+"""
+
+
+def test_bench_golden_bytes_above_merge_leaf(capsys):
+    code, stdout, _ = run(
+        capsys, "bench", "--families", "random,displacement", "--sizes", "256",
+        "--algos", "psort-median,psort-randmid,psort-fr", "--trials", "1", "--k", "16", "--no-time",
+    )
+    assert code == 0
+    assert stdout == BENCH_256_GOLDEN
+
+
 def test_bench_usage_errors(tmp_path, capsys):
     base = ["bench", "--sizes", "8", "--trials", "1"]
     assert main(base + ["--families", "nope", "--algos", "insertion"]) == 1

@@ -19,6 +19,7 @@ from presort.sorters import (
     _insertion_sort_keys,
     _merge_sort_keys,
     _partition3_items,
+    _select_kth_key,
     _split3_keys,
     blocked_sort,
     exact_median,
@@ -36,11 +37,14 @@ from vectors import BLOCKS16, SORTED16, SWAPPED_PAIRS16
 
 STRATEGIES = [PivotStrategy("median"), PivotStrategy("randmid", 3), PivotStrategy("fr", 3)]
 
-# Empirical ceiling for select_exact_median: comparisons <= factor * n
-# (plus a small additive term for tiny inputs).  Worst observed across
+# Empirical ceiling for _select_kth_key at the median, both ends and the
+# tenth ranks from either end: comparisons <= factor * n (plus a small
+# additive term for tiny inputs).  Worst observed across
 # sorted/reverse/random/organ-pipe/duplicate-heavy inputs up to n = 2**16
-# is 10.7 comparisons per element (reverse order); 16 leaves headroom.
-MEDIAN_SELECT_FACTOR = 16
+# is 7.8 comparisons per element from n = 100 up (rank ceil(n/10), reverse
+# order; 6.3 at the median) and 9.5 at n = 17 (rank 15, reverse order);
+# 11 leaves headroom.
+MEDIAN_SELECT_FACTOR = 11
 
 
 def ref_sort(seq):
@@ -85,6 +89,62 @@ def merge_runs(runs, m):
     m.comparisons += c
     m.moves += moved
     return runs[0]
+
+
+def select_kth_reference(keys, k, m):
+    """Per-test reference for sorters._select_kth_key.
+
+    The same pivots, found with per-test loops: each group's extreme by a
+    running minimum or maximum, each group of 5 by _insertion_sort_keys.
+    A split tests every key against the pivot on the target's side first;
+    the median pivot's split then tests only the keys that were not below
+    it.  Every test is charged as it runs.
+    """
+    n = len(keys)
+    if n <= 5:
+        _insertion_sort_keys(keys, m)
+        return keys[k - 1]
+    low = 2 * k <= n + 1
+    r = k if low else n + 1 - k
+    if 6 * r <= n:
+        size = n // (2 * r)
+        ends = []
+        for g in range(0, 2 * r * size, size):
+            end = keys[g]
+            for x in keys[g + 1 : g + size]:
+                m.comparisons += 1
+                if (x < end) if low else (x > end):
+                    end = x
+            ends.append(end)
+        pivot = select_kth_reference(ends, r if low else r + 1, m)
+        near = []
+        for x in keys:
+            m.comparisons += 1
+            if (x < pivot) if low else (x > pivot):
+                near.append(x)
+        if r > len(near):
+            return pivot
+        return select_kth_reference(near, r if low else len(near) + 1 - r, m)
+    medians = []
+    for g in range(0, n, 5):
+        group = keys[g : g + 5]
+        _insertion_sort_keys(group, m)
+        medians.append(group[(len(group) - 1) // 2])
+    pivot = select_kth_reference(medians, (len(medians) + 1) // 2, m)
+    lo, rest = [], []
+    for x in keys:
+        m.comparisons += 1
+        (lo if x < pivot else rest).append(x)
+    if k <= len(lo):
+        return select_kth_reference(lo, k, m)
+    hi = []
+    for x in rest:
+        m.comparisons += 1
+        if x > pivot:
+            hi.append(x)
+    if k <= n - len(hi):
+        return pivot
+    return select_kth_reference(hi, k - (n - len(hi)), m)
 
 
 def natural_runs(items):
@@ -157,6 +217,7 @@ def test_exact_median_matches_rank_oracle(keys):
 
 
 def test_exact_median_linear_comparison_envelope():
+    """The median, both ends and the tenth ranks from either end."""
     rng = random.Random(99)
     for n in (5, 17, 100, 1000, 4096):
         batteries = {
@@ -165,10 +226,24 @@ def test_exact_median_linear_comparison_envelope():
             "random": rng.sample(range(n), n),
             "dups": [i % 7 for i in range(n)],
         }
+        tenth = -(-n // 10)
         for name, keys in batteries.items():
             m = Meter()
             select_exact_median(Sequence.from_keys(keys), m)
             assert m.comparisons <= MEDIAN_SELECT_FACTOR * n + 8, (name, n, m.comparisons)
+            for k in (1, n, tenth, n - tenth):
+                m = Meter()
+                _select_kth_key(list(keys), k, m)
+                assert m.comparisons <= MEDIAN_SELECT_FACTOR * n + 8, (name, n, k, m.comparisons)
+
+
+@given(st.integers(1, 300).flatmap(lambda n: st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_select_kth_key_matches_rank_oracle_at_every_rank(keys):
+    """Duplicate-heavy keys at every rank: the classic, minima and maxima
+    pivots all run."""
+    for k in range(1, len(keys) + 1):
+        assert _select_kth_key(list(keys), k, Meter()) == rank_key(keys, k), k
 
 
 def test_random_middle_stays_in_middle_half():
@@ -492,7 +567,7 @@ def _battery(rng):
     yield Sequence.from_keys(BLOCKS16)
     yield Sequence.from_keys([5] * 11)
     # 300 and 1000 reach Floyd-Rivest sampling and several levels of
-    # median-of-medians recursion.
+    # selection recursion.
     for n in (7, 24, 41, 300, 1000):
         yield Sequence.from_keys(rng.choices(range(8), k=n))
         yield Sequence.from_keys(rng.sample(range(1000), n))
@@ -508,24 +583,26 @@ def _battery(rng):
 # count the bulk charge was asserted to equal, so these are the per-test
 # schedules.  The partition_sort columns were re-recorded when segments of
 # 9 to MERGE_SEGMENT keys became merge leaves, whose charge the counting
-# tests below hold to the per-test merge.
+# tests below hold to the per-test merge, and the cells that run
+# _select_kth_key when selection became rank-adaptive, whose charge they
+# hold to select_kth_reference.
 PINNED_COUNTS = [
     ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0), (0, 0), None, None, None, None, None, None),
     ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 3), None, None),
-    ((16, 0, 0, 1), (16, 0, 0, 1), (16, 0, 0, 1), (16, 0), (16, 0), (16, 32), (54, 94), (48, 81), (68, 8), (48, (8, 0)), (16, (10, 0))),
-    ((50, 81, 0, 1), (50, 81, 0, 1), (50, 81, 0, 1), (136, 152), (49, 81), (16, 32), (47, 94), (33, 81), (117, 9), (33, (9, 0)), (16, (7, 0))),
-    ((56, 48, 0, 1), (56, 48, 0, 1), (56, 48, 0, 1), (60, 62), (55, 48), (15, 30), (63, 88), (48, 64), (79, 39), (48, (39, 0)), (45, (56, 2))),
+    ((16, 0, 0, 1), (16, 0, 0, 1), (16, 0, 0, 1), (16, 0), (16, 0), (16, 32), (54, 94), (48, 81), (59, 8), (48, (8, 0)), (16, (10, 0))),
+    ((50, 81, 0, 1), (50, 81, 0, 1), (50, 81, 0, 1), (136, 152), (49, 81), (16, 32), (47, 94), (33, 81), (109, 9), (33, (9, 0)), (16, (7, 0))),
+    ((56, 48, 0, 1), (56, 48, 0, 1), (56, 48, 0, 1), (60, 62), (55, 48), (15, 30), (63, 88), (48, 64), (65, 39), (48, (39, 0)), (45, (56, 2))),
     ((10, 0, 0, 1), (10, 0, 0, 1), (10, 0, 0, 1), (10, 0), (10, 0), (10, 20), (27, 47), (23, 40), (32, 5), (23, (5, 0)), (672, (5, 64))),
     ((14, 13, 0, 1), (14, 13, 0, 1), (14, 13, 0, 1), (13, 13), (15, 14), (6, 12), (12, 21), (14, 20), (24, 5), (14, (5, 0)), (12, (3, 1))),
     ((21, 17, 0, 1), (21, 17, 0, 1), (21, 17, 0, 1), (18, 17), (16, 14), (6, 12), (11, 21), (12, 20), (50, 100), (12, (100, 0)), (12, (100, 1))),
-    ((94, 88, 0, 1), (94, 88, 0, 1), (94, 88, 0, 1), (155, 154), (93, 88), (23, 46), (101, 152), (85, 112), (132, 4), (85, (4, 0)), (23, (1, 0))),
-    ((97, 96, 0, 1), (97, 96, 0, 1), (97, 96, 0, 1), (189, 191), (96, 96), (23, 46), (97, 152), (81, 112), (152, 341), (81, (341, 0)), (92, (77, 3))),
-    ((206, 193, 0, 1), (206, 193, 0, 1), (206, 193, 0, 1), (385, 385), (205, 193), (40, 80), (221, 313), (177, 234), (170, 3), (177, (3, 0)), (40, (3, 0))),
-    ((198, 190, 0, 1), (198, 190, 0, 1), (198, 190, 0, 1), (468, 471), (196, 190), (40, 80), (216, 313), (180, 234), (281, 518), (180, (518, 0)), (80, (812, 1))),
+    ((94, 88, 0, 1), (94, 88, 0, 1), (94, 88, 0, 1), (155, 154), (93, 88), (23, 46), (101, 152), (85, 112), (108, 4), (85, (4, 0)), (23, (1, 0))),
+    ((97, 96, 0, 1), (97, 96, 0, 1), (97, 96, 0, 1), (189, 191), (96, 96), (23, 46), (97, 152), (81, 112), (142, 341), (81, (341, 0)), (92, (77, 3))),
+    ((206, 193, 0, 1), (206, 193, 0, 1), (206, 193, 0, 1), (385, 385), (205, 193), (40, 80), (221, 313), (177, 234), (166, 3), (177, (3, 0)), (40, (3, 0))),
+    ((198, 190, 0, 1), (198, 190, 0, 1), (198, 190, 0, 1), (468, 471), (196, 190), (40, 80), (216, 313), (180, 234), (216, 518), (180, (518, 0)), (80, (812, 1))),
     ((3295, 789, 0, 3), (2005, 879, 1, 4), (6527, 789, 0, 3), (19581, 19536), (2119, 2100), (299, 598), (2810, 3840), (2158, 2596), (1130, 4), (1930, (4, 0)), (598, (5, 1))),
-    ((9155, 2246, 0, 4), (4621, 2229, 7, 5), (11604, 2246, 0, 4), (22678, 22683), (2346, 2293), (299, 598), (2847, 3840), (2202, 2596), (2520, 508), (3332, (508, 0)), (299, (429, 0))),
-    ((12052, 2117, 0, 4), (8520, 2369, 6, 4), (18932, 2117, 0, 4), (220176, 220049), (8899, 8857), (999, 1998), (11731, 15798), (8412, 9984), (3878, 3), (7875, (3, 0)), (3996, (6, 3))),
-    ((44701, 9059, 0, 5), (19764, 9271, 20, 7), (48615, 9059, 0, 5), (245147, 245146), (9240, 8971), (999, 1998), (12005, 15798), (8717, 9984), (8656, 499), (7314, (499, 0)), (2997, (609, 2))),
+    ((6981, 2246, 0, 4), (4621, 2229, 7, 5), (11604, 2246, 0, 4), (22678, 22683), (2346, 2293), (299, 598), (2847, 3840), (2202, 2596), (1376, 508), (3332, (508, 0)), (299, (429, 0))),
+    ((12000, 2117, 0, 4), (8520, 2369, 6, 4), (18909, 2117, 0, 4), (220176, 220049), (8899, 8857), (999, 1998), (11731, 15798), (8412, 9984), (3838, 3), (7472, (3, 0)), (3996, (6, 3))),
+    ((30551, 9059, 0, 5), (19764, 9271, 20, 7), (48615, 9059, 0, 5), (245147, 245146), (9240, 8971), (999, 1998), (12005, 15798), (8717, 9984), (4512, 499), (7314, (499, 0)), (2997, (609, 2))),
 ]
 
 
@@ -675,6 +752,20 @@ def test_group_medians_short_final_group():
         assert fast.comparisons == slow.comparisons, keys
 
 
+@given(st.integers(0, 130).flatmap(lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+@settings(deadline=None)
+def test_select_kth_key_charges_reference_schedule(keys):
+    """At every rank the selector charges what the per-test reference
+    executes: the built-in group min and max, both one-sided passes."""
+    for k in range(1, len(keys) + 1):
+        fast = Meter()
+        got = _select_kth_key(list(keys), k, fast)
+        ref = Meter()
+        want, tests = executed(select_kth_reference, counting_keys(keys), k, ref)
+        assert got == want == rank_key(keys, k), k
+        assert fast.comparisons == ref.comparisons == tests, k
+
+
 def test_merge_sort_keys_fast_path_matches_traced():
     """The sorted(A + B) merges charge what the reference on singletons executes."""
     empty = Meter()
@@ -709,7 +800,7 @@ def test_readme_example_counts_pinned():
     """The README's `presort sort --algo psort --pivot median` figures."""
     s = generate(GenSpec("displacement", 100000, k=64, seed=7))
     out = partition_sort(s, exact_median(), Meter())
-    assert out.comparisons == 8997608
+    assert out.comparisons == 6343915
     assert out.moves == 1106717
     assert out.max_recursion_depth == 12
     assert out.output.keys() == sorted(s.keys())
