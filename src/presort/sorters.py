@@ -15,9 +15,12 @@ within k slots of their final position.
 Every key test inside any routine here is charged to the caller's Meter.
 Each kernel exists once and charges its tests in bulk.  Most charge exactly
 the tests they execute.  A few run something faster (a binary search, an
-unrolled group sort, built-in sorts, selection's full second pass) but
+unrolled group sort, built-in sorts, the full second pass of a split) but
 charge exactly the schedule of the plain per-test loop they stand for;
 the tests hold them to what that loop executes.
+
+The sorters meter their keys alone, then route the items once with one
+built-in stable sort by key (blocked_sort routes window by window).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from itertools import compress, count, islice
 from operator import gt, itemgetter
 from typing import Optional
 
-from .core import Item, Meter, Sequence
+from .core import Meter, Sequence
 
 # Unsorted segments at or below SMALL_SEGMENT are finished with insertion
 # sort, and the rest up to MERGE_SEGMENT with one natural merge, instead of
@@ -42,6 +45,9 @@ MERGE_SEGMENT = 64
 # Sampling attempts select_random_middle makes before giving up and
 # falling back to the deterministic selector.
 RANDOM_MIDDLE_ATTEMPT_CAP = 64
+
+# The key of an item, for the built-in sorts that route items.
+_KEY = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -90,37 +96,19 @@ class SortOutcome:
 # counted building blocks
 
 
-def _partition3_items(items: list[Item], pivot_key: int, m: Meter):
-    """Stable three-way split around pivot_key.
-
-    Each item is tested against the pivot at most twice: one test settles
-    "below", a second separates "above" from "equal".  Relative order is
-    preserved in all three outputs; one move is charged per item routed.
-    """
-    lo: list[Item] = []
-    eq: list[Item] = []
-    hi: list[Item] = []
-    c = 0
-    push_lo, push_eq, push_hi = lo.append, eq.append, hi.append
-    for it in items:
-        k = it[0]
-        if k < pivot_key:
-            c += 1
-            push_lo(it)
-        elif k > pivot_key:
-            c += 2
-            push_hi(it)
-        else:
-            c += 2
-            push_eq(it)
-    m.comparisons += c
-    m.moves += len(items)
-    return lo, eq, hi
-
-
 def stable_three_way_partition(s: Sequence, pivot_key: int, m: Meter):
-    """Split s into (below, equal, above) pivot_key, preserving input order."""
-    lo, eq, hi = _partition3_items(list(s.items), pivot_key, m)
+    """Split s into (below, equal, above) pivot_key, preserving input order.
+
+    Charged as the per-item loop that tests each item against the pivot:
+    one test settles "below", a second separates "above" from "equal", so
+    2n - |below| tests in all, and one move per item routed.
+    """
+    items = s.items
+    lo = [it for it in items if it[0] < pivot_key]
+    eq = [it for it in items if it[0] == pivot_key]
+    hi = [it for it in items if it[0] > pivot_key]
+    m.comparisons += 2 * len(items) - len(lo)
+    m.moves += len(items)
     return Sequence(lo), Sequence(eq), Sequence(hi)
 
 
@@ -269,20 +257,50 @@ def _merge_sort_keys(keys: list[int], m: Meter) -> tuple[list[int], int]:
     return merged, moves + n - n % 2
 
 
-def _natural_merge_items(items: list[Item], keys: list[int], m: Meter) -> list[Item]:
-    """Stable natural merge sort of items, whose keys are keys.
+def _natural_merge_keys(keys: list[int], m: Meter) -> None:
+    """Charge a stable natural merge sort of keys, which has n >= 1 keys.
 
     Finds the non-decreasing runs with n-1 charged tests, then charges
-    _merge_keys on the runs' keys.  A stable sort has only one correct
-    output, so the built-in stable sort by key returns the merge's result.
+    _merge_keys on the runs, moves included.
     """
-    n = len(items)
-    if n <= 1:
-        return list(items)
-    starts = [0, *compress(count(1), map(gt, keys, islice(keys, 1, None))), n]
-    m.comparisons += n - 1
+    starts = [0, *compress(count(1), map(gt, keys, islice(keys, 1, None))), len(keys)]
+    m.comparisons += len(keys) - 1
     m.moves += _merge_keys([keys[a:b] for a, b in zip(starts, islice(starts, 1, None))], m)[1]
-    return sorted(items, key=itemgetter(0))
+
+
+def _insertion_keys(keys: list[int], m: Meter) -> None:
+    """Charge a stable insertion sort of keys.
+
+    Element i pays one comparison per slot it jumps plus the final failed
+    test, except when it travels all the way to the front.  Total is at
+    most n-1 plus the inversion count.  Each insertion point is found by
+    binary search in the sorted prefix, charging exactly the linear-scan
+    schedule of _insertion_sort_keys, and one move per slot jumped plus
+    one for the landing.
+    """
+    done: list[int] = []
+    c = moves = 0
+    for i, key in enumerate(keys):
+        p = bisect_right(done, key)
+        shifts = i - p
+        c += shifts + (1 if p > 0 else 0)
+        if shifts:
+            moves += shifts + 1
+        done.insert(p, key)
+    m.comparisons += c
+    m.moves += moves
+
+
+def _outcome(s: Sequence, m: Meter, c0: int, v0: int, retries: int = 0, depth: int = 0) -> SortOutcome:
+    """The outcome of a sort of s charged to m since it read (c0, v0).
+
+    The charged kernels run on keys alone.  A stable sort has only one
+    correct output, so one built-in stable sort by key routes the items.
+    Only an input already in order moves nothing, and it is its own output.
+    """
+    moves = m.moves - v0
+    out = Sequence(sorted(s.items, key=_KEY)) if moves else s
+    return SortOutcome(out, m.comparisons - c0, moves, retries, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +385,7 @@ def _randmid_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, 
         # candidate is not below itself, so one scan of all n keys counts
         # the same.
         m.comparisons += n - 1
-        rank = sum(1 for k in keys if k < cand) + 1
+        rank = len([k for k in keys if k < cand]) + 1
         if lo_rank <= rank <= hi_rank:
             return cand, rejected
     return _select_kth_key(keys, (n + 1) // 2, m), RANDOM_MIDDLE_ATTEMPT_CAP
@@ -417,7 +435,8 @@ def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
 
 
 # Each pivot kind's selector: (keys, rng, m) -> (pivot key, retries) on a
-# non-empty key list, which the selector may reorder.
+# list of more than MERGE_SEGMENT keys, which the selector must not reorder:
+# partition_sort splits that same list around the pivot.
 _SELECTORS = {"median": _median_pivot, "randmid": _randmid_pivot, "fr": _fr_pivot}
 PIVOT_KINDS = tuple(_SELECTORS)
 
@@ -447,39 +466,12 @@ def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int,
 # sorters
 
 
-def _insertion_items(items: list[Item], m: Meter) -> list[Item]:
-    """Counted stable insertion sort.
-
-    Element i pays one comparison per slot it jumps plus the final failed
-    test, except when it travels all the way to the front.  Total is at
-    most n-1 plus the inversion count.  The fast path finds each insertion
-    point by binary search and shifts with C-level list inserts while
-    charging exactly the linear-scan schedule of _insertion_sort_keys, and
-    one move per slot jumped plus one for the landing.
-    """
-    out: list[Item] = []
-    keys: list[int] = []
-    c = moves = 0
-    for i, it in enumerate(items):
-        key = it[0]
-        p = bisect_right(keys, key)
-        shifts = i - p
-        c += shifts + (1 if p > 0 else 0)
-        if shifts:
-            moves += shifts + 1
-        keys.insert(p, key)
-        out.insert(p, it)
-    m.comparisons += c
-    m.moves += moves
-    return out
-
-
 def insertion_sort(s: Sequence, m: Optional[Meter] = None) -> SortOutcome:
     """Stable insertion sort; cheap when nothing has far to travel."""
     m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
-    out = _insertion_items(list(s.items), m)
-    return SortOutcome(Sequence(out), m.comparisons - c0, m.moves - v0)
+    _insertion_keys(s.keys(), m)
+    return _outcome(s, m, c0, v0)
 
 
 def natural_merge_sort(s: Sequence, m: Optional[Meter] = None) -> SortOutcome:
@@ -490,27 +482,33 @@ def natural_merge_sort(s: Sequence, m: Optional[Meter] = None) -> SortOutcome:
     """
     m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
-    items = _natural_merge_items(list(s.items), s.keys(), m)
-    return SortOutcome(Sequence(items), m.comparisons - c0, m.moves - v0)
+    if s.n:
+        _natural_merge_keys(s.keys(), m)
+    return _outcome(s, m, c0, v0)
 
 
-def _psort(items: list[Item], select, rng, m: Meter, depth: int) -> tuple[list[Item], int, int]:
-    """Sort one segment at recursion level depth; returns the sorted items,
+def _psort(keys: list[int], select, rng, m: Meter, depth: int) -> tuple[int, int]:
+    """Charge sorting one segment's keys at recursion level depth; returns
     the pivot retries and the deepest level reached."""
-    keys = list(map(itemgetter(0), items))
     if m.first_descent(keys) < 0:
-        return items, 0, depth
-    if len(items) <= SMALL_SEGMENT:
-        return _insertion_items(items, m), 0, depth
-    if len(items) <= MERGE_SEGMENT:
-        return _natural_merge_items(items, keys, m), 0, depth
+        return 0, depth
+    n = len(keys)
+    if n <= SMALL_SEGMENT:
+        _insertion_keys(keys, m)
+        return 0, depth
+    if n <= MERGE_SEGMENT:
+        _natural_merge_keys(keys, m)
+        return 0, depth
     pivot, retries = select(keys, rng, m)
-    lo, eq, hi = _partition3_items(items, pivot, m)
-    out, lo_retries, lo_depth = _psort(lo, select, rng, m, depth + 1)
-    hi, hi_retries, hi_depth = _psort(hi, select, rng, m, depth + 1)
-    out.extend(eq)
-    out.extend(hi)
-    return out, retries + lo_retries + hi_retries, max(lo_depth, hi_depth)
+    # Charged as the per-item three-way loop: one test below the pivot, two
+    # otherwise, and one move per key.  Keys equal to the pivot are done.
+    lo = [k for k in keys if k < pivot]
+    hi = [k for k in keys if k > pivot]
+    m.comparisons += 2 * n - len(lo)
+    m.moves += n
+    lo_retries, lo_depth = _psort(lo, select, rng, m, depth + 1)
+    hi_retries, hi_depth = _psort(hi, select, rng, m, depth + 1)
+    return retries + lo_retries + hi_retries, max(lo_depth, hi_depth)
 
 
 def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = None) -> SortOutcome:
@@ -525,21 +523,16 @@ def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = No
     passed).  Longer segments pick a pivot per the strategy, split stably
     three ways, and recurse on the outer parts; duplicates of the pivot
     are done the moment they land in the middle.  Comparisons spent
-    finding and verifying pivots are charged like any others.
+    finding and verifying pivots are charged like any others.  The
+    recursion runs on key lists and the items are routed once (_outcome).
     """
     m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
     select = _SELECTORS[strategy.kind]
     # A Random costs microseconds, and no segment of <= MERGE_SEGMENT selects.
     rng = None if select is _median_pivot or s.n <= MERGE_SEGMENT else random.Random(strategy.seed)
-    out, retries, max_depth = _psort(list(s.items), select, rng, m, 1)
-    return SortOutcome(
-        Sequence(out),
-        comparisons=m.comparisons - c0,
-        moves=m.moves - v0,
-        pivot_retries=retries,
-        max_recursion_depth=max_depth,
-    )
+    retries, max_depth = _psort(s.keys(), select, rng, m, 1)
+    return _outcome(s, m, c0, v0, retries, max_depth)
 
 
 def _check_window(k: int, n: int) -> None:
@@ -567,8 +560,8 @@ def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
         for lo in range(first, n, 2 * k):
             window = items[lo : lo + 2 * k]
             m.moves += _merge_sort_keys([it[0] for it in window], m)[1]
-            items[lo : lo + 2 * k] = sorted(window, key=itemgetter(0))
-    keys = list(map(itemgetter(0), items))
+            items[lo : lo + 2 * k] = sorted(window, key=_KEY)
+    keys = list(map(_KEY, items))
     is_sorted = all(keys[i] <= keys[i + 1] for i in range(n - 1))
     return SortOutcome(
         Sequence(items),

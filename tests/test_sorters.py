@@ -13,12 +13,12 @@ from presort.measures import count_runs, inversions, max_displacement
 from presort.sorters import (
     MERGE_SEGMENT,
     RANDOM_MIDDLE_ATTEMPT_CAP,
+    SMALL_SEGMENT,
     PivotStrategy,
     _group_medians,
-    _insertion_items,
+    _insertion_keys,
     _insertion_sort_keys,
     _merge_sort_keys,
-    _partition3_items,
     _select_kth_key,
     _split3_keys,
     blocked_sort,
@@ -151,6 +151,82 @@ def natural_runs(items):
     """items cut at each descent into its maximal non-decreasing runs."""
     starts = [0, *(i for i in range(1, len(items)) if int(items[i - 1][0]) > int(items[i][0]))]
     return [items[a:b] for a, b in zip(starts, starts[1:] + [len(items)])]
+
+
+def partition3_reference(items, pivot, m):
+    """Per-test stable three-way split of items around pivot.
+
+    One test settles "below", a second separates "above" from "equal".
+    Every test is charged as it runs, and every item routed is one move.
+    """
+    lo, eq, hi = [], [], []
+    for it in items:
+        m.comparisons += 1
+        if it[0] < pivot:
+            lo.append(it)
+            continue
+        m.comparisons += 1
+        (hi if it[0] > pivot else eq).append(it)
+    m.moves += len(items)
+    return lo, eq, hi
+
+
+def insertion_reference(items, m):
+    """Per-test stable insertion sort of items, the schedule of
+    _insertion_sort_keys: every test is charged as it runs, and an item that
+    jumps is one move per slot jumped plus one for its landing."""
+    out = list(items)
+    for i in range(1, len(out)):
+        x = out[i]
+        j = i
+        while j > 0:
+            m.comparisons += 1
+            if not out[j - 1][0] > x[0]:
+                break
+            out[j] = out[j - 1]
+            j -= 1
+        if j < i:
+            m.moves += i - j + 1
+        out[j] = x
+    return out
+
+
+def psort_reference(items, select, rng, m, depth=1):
+    """Per-item reference for partition_sort: (sorted items, retries, depth).
+
+    The same sortedness scan, leaf sizes and selector, with every item
+    routed at every level: by insertion_reference, by merge_runs on the
+    natural runs after an n-1 test run scan, and by partition3_reference.
+    """
+    keys = [it[0] for it in items]
+    if m.first_descent(keys) < 0:
+        return items, 0, depth
+    if len(items) <= SMALL_SEGMENT:
+        return insertion_reference(items, m), 0, depth
+    if len(items) <= MERGE_SEGMENT:
+        m.comparisons += len(items) - 1
+        return merge_runs(natural_runs(items), m), 0, depth
+    pivot, retries = select(keys, rng, m)
+    lo, eq, hi = partition3_reference(items, pivot, m)
+    lo, lo_retries, lo_depth = psort_reference(lo, select, rng, m, depth + 1)
+    hi, hi_retries, hi_depth = psort_reference(hi, select, rng, m, depth + 1)
+    return lo + eq + hi, retries + lo_retries + hi_retries, max(lo_depth, hi_depth)
+
+
+def spy_selectors(monkeypatch, record):
+    """Make every selector call record(its keys before the call, after it)."""
+
+    def spy(select):
+        def recorded(keys, rng, m):
+            before = list(keys)
+            result = select(keys, rng, m)
+            record(before, keys)
+            return result
+
+        return recorded
+
+    for kind, select in list(sorters._SELECTORS.items()):
+        monkeypatch.setitem(sorters._SELECTORS, kind, spy(select))
 
 
 # -- stable partition ----------------------------------------------------------
@@ -367,16 +443,7 @@ def test_psort_half_swap_structure():
 def test_psort_selects_only_above_the_merge_leaf(monkeypatch):
     """Segments of at most MERGE_SEGMENT keys are finished without a pivot."""
     sizes = []
-
-    def spy(select):
-        def recorded(keys, rng, m):
-            sizes.append(len(keys))
-            return select(keys, rng, m)
-
-        return recorded
-
-    for kind, select in list(sorters._SELECTORS.items()):
-        monkeypatch.setitem(sorters._SELECTORS, kind, spy(select))
+    spy_selectors(monkeypatch, lambda before, after: sizes.append(len(before)))
     rng = random.Random(17)
     for trial in range(40):
         n = rng.randint(0, 600)
@@ -384,6 +451,68 @@ def test_psort_selects_only_above_the_merge_leaf(monkeypatch):
         for strategy in STRATEGIES:
             assert partition_sort(s, strategy, Meter()).output.items == ref_sort(s).items
     assert sizes and min(sizes) > MERGE_SEGMENT
+
+
+def test_selectors_leave_the_key_list_alone(monkeypatch):
+    """partition_sort splits the list it hands the selector, so no selector
+    may reorder it."""
+    unchanged = []
+    spy_selectors(monkeypatch, lambda before, after: unchanged.append(before == after))
+    rng = random.Random(23)
+    for trial in range(30):
+        n = rng.randint(65, 700)
+        keys = rng.choices(range(rng.choice((2, 7, 10_000))), k=n)
+        if trial % 3 == 1:
+            keys.sort(reverse=True)
+        s = Sequence.from_keys(keys)
+        for strategy in STRATEGIES:
+            partition_sort(s, strategy, Meter())
+    assert unchanged and all(unchanged)
+
+
+@given(
+    st.tuples(st.integers(0, 300), st.sampled_from((2, 8, 1000))).flatmap(
+        lambda na: st.lists(st.integers(0, na[1] - 1), min_size=na[0], max_size=na[0])
+    ),
+    st.sampled_from(("as drawn", "sorted", "reversed")),
+)
+@settings(max_examples=120, deadline=None)
+def test_psort_matches_per_item_reference(keys, order):
+    """The keys-only recursion charges what routing every item at every
+    level executes, and its one stable sort returns the same items."""
+    if order != "as drawn":
+        keys = sorted(keys, reverse=order == "reversed")
+    s = Sequence.from_keys(keys)
+    for strategy in STRATEGIES:
+        out = partition_sort(s, strategy, Meter())
+        ref = Meter()
+        select = sorters._SELECTORS[strategy.kind]
+        items, retries, depth = psort_reference(list(s.items), select, random.Random(strategy.seed), ref)
+        assert out.output.items == tuple(items)
+        got = (out.comparisons, out.moves, out.pivot_retries, out.max_recursion_depth)
+        assert got == (ref.comparisons, ref.moves, retries, depth), strategy
+
+
+def test_nothing_moves_exactly_when_the_input_is_sorted():
+    """Every unsorted input moves a key, so a sorter that charged no move
+    returns its input's items untouched."""
+    rng = random.Random(12)
+    sorters_under_test = [lambda s, m, kind=kind: partition_sort(s, kind, m) for kind in STRATEGIES]
+    sorters_under_test += [insertion_sort, natural_merge_sort]
+    for trial in range(240):
+        n = rng.randint(0, 400)
+        keys = sorted(rng.choices(range(rng.choice((2, 10, 10_000))), k=n))
+        if trial % 3 and n > 1:
+            i = rng.randrange(n - 1)
+            keys[i], keys[i + 1] = keys[i + 1], keys[i]
+        if trial % 3 == 2:
+            rng.shuffle(keys)
+        s = Sequence.from_keys(keys)
+        for sort in sorters_under_test:
+            out = sort(s, Meter())
+            assert (out.moves == 0) == (keys == sorted(keys)), (trial, keys)
+            if out.moves == 0:
+                assert out.output.items is s.items
 
 
 def test_psort_depth_bound():
@@ -661,14 +790,15 @@ def test_split3_keys_charges_executed_tests(keys, u, width):
 
 @given(st.lists(st.integers(-9, 9), max_size=60), st.integers(-9, 9))
 def test_partition3_items_charges_executed_tests(keys, pivot):
+    """stable_three_way_partition charges what the per-item loop executes."""
     items = counting_items(keys)
     m = Meter()
-    (lo, eq, hi), tests = executed(_partition3_items, items, pivot, m)
-    assert m.comparisons == tests
-    assert m.moves == len(keys)
-    assert lo == [it for it in items if it[0] < pivot]
-    assert eq == [it for it in items if it[0] == pivot]
-    assert hi == [it for it in items if it[0] > pivot]
+    parts = stable_three_way_partition(Sequence(items), pivot, m)
+    ref = Meter()
+    want, tests = executed(partition3_reference, items, pivot, ref)
+    assert [list(part) for part in parts] == list(want)
+    assert m.comparisons == ref.comparisons == tests
+    assert m.moves == ref.moves == len(keys)
 
 
 @given(st.lists(st.integers(-9, 9), max_size=30))
@@ -708,20 +838,21 @@ def test_natural_merge_sort_charges_executed_tests(keys):
 
 @given(st.lists(st.integers(-9, 9), max_size=60))
 def test_insertion_items_charges_linear_scan_schedule(keys):
-    """Bisect plus list.insert charges what the per-test insertion sort executes.
+    """Bisect plus list.insert on the keys charges what the per-test
+    insertion sort of the items executes.
 
     Moves are the inversions (slots jumped) plus one landing for each item
     that jumps at all, i.e. each item with a larger key somewhere before it.
     """
     s = Sequence.from_keys(keys)
     m = Meter()
-    out = _insertion_items(list(s), m)
+    _insertion_keys(list(keys), m)
     ref = Meter()
-    _, tests = executed(_insertion_sort_keys, counting_keys(keys), ref)
+    out, tests = executed(insertion_reference, counting_items(keys), ref)
     assert out == list(ref_sort(s))
     assert m.comparisons == ref.comparisons == tests
     movers = sum(1 for i, k in enumerate(keys) if any(x > k for x in keys[:i]))
-    assert m.moves == inversions(s) + movers
+    assert m.moves == ref.moves == inversions(s) + movers
 
 
 def test_group_medians_match_per_test_insertion_sort():
