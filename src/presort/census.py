@@ -6,7 +6,7 @@ counted exactly rather than enumerated, and compares it against two
 yardsticks: a counting lower bound on nu from the swap-repair argument,
 and the information bound ceil(log2 nu) that any deterministic
 comparison sorter must pay in the worst case over the class.  Worst-case
-sweeps still sort all n! inputs.
+sweeps charge partition_sort's key recursion on all n! inputs, no items.
 
 The block sizes of a permutation are the ascending-run lengths of its
 inverse, and inversion is a bijection, so nu(type) is the sum, over the
@@ -22,16 +22,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count, permutations
+from itertools import permutations
 
-from .core import Meter, Sequence
+from .core import Meter
 from .measures import _check_sizes
-from .sorters import PivotStrategy, partition_sort
+from .sorters import PivotStrategy, _charge_psort
 
 # Counting a census sums 3^(n-1) signed multinomials (19683 at n = 10).
 MAX_CENSUS_N = 10
 
-# Worst-case sweeps sort all n! permutations, so they cut off earlier than
+# Worst-case sweeps charge all n! permutations, so they cut off earlier than
 # the counted census; at n <= SMALL_SEGMENT no pivot kind ever selects.
 MAX_WORST_CASE_N = 8
 
@@ -133,17 +133,19 @@ def enumerate_census(n: int) -> list[CensusRow]:
 def census_worst_cases(n: int, strategy: PivotStrategy) -> dict[tuple[int, ...], int]:
     """Max partition_sort comparisons over each realizable type, in one sweep.
 
-    Every permutation of 1..n is sorted once and charged to its type.  The
-    strategy's seed is reused for each member, so randomized pivots act as
-    one fixed deterministic procedure across every class and the
-    information bound ceil(log2 nu) applies to each result.
+    partition_sort's key recursion (all it charges) runs on every
+    permutation of 1..n, with no items built.  The seed is reused for each
+    member, so randomized pivots act as one fixed deterministic procedure
+    across every class and the information bound ceil(log2 nu) applies to each.
     """
     if not 1 <= n <= MAX_WORST_CASE_N:
         raise ValueError(f"worst-case sweeps support 1 <= n <= {MAX_WORST_CASE_N}, got {n}")
     worst: dict[tuple[int, ...], int] = {}
+    m = Meter()
     for perm in permutations(range(1, n + 1)):
+        c = m.comparisons
+        _charge_psort(list(perm), strategy, m)
         t = _type_of_permutation(perm)
-        outcome = partition_sort(Sequence(zip(perm, count())), strategy, Meter())
-        if outcome.comparisons > worst.get(t, -1):
-            worst[t] = outcome.comparisons
+        if m.comparisons - c > worst.get(t, -1):
+            worst[t] = m.comparisons - c
     return worst

@@ -17,7 +17,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Optional
 
-from .census import enumerate_census, census_worst_cases
+from .census import MAX_CENSUS_N, MAX_WORST_CASE_N, census_worst_cases, enumerate_census
 from .core import (
     _KEY,
     Meter,
@@ -178,7 +178,6 @@ def _run_sorter(algo: str, pivot: str, seq: Sequence, k: Optional[int], seed: in
     if algo == "psort":
         return partition_sort(seq, PivotStrategy(pivot, seed), Meter())
     if algo == "blocked":
-        _check_blocked(k, seq.n)
         return blocked_sort(seq, k, Meter())
     if algo == "insertion":
         return insertion_sort(seq, Meter())
@@ -188,11 +187,6 @@ def _run_sorter(algo: str, pivot: str, seq: Sequence, k: Optional[int], seed: in
 def _open_out(path: Optional[str]):
     """A text handle on path, or on stdout when no path is given."""
     return open(path, "w", encoding="ascii") if path else nullcontext(sys.stdout)
-
-
-def _write_lines(path: Optional[str], lines: list[str]) -> None:
-    with _open_out(path) as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_gen(args) -> int:
@@ -209,21 +203,25 @@ def cmd_measure(args) -> int:
         lines = [PROFILE_HEADER, ",".join(value for _, value in fields)]
     else:
         lines = [f"{name}={value}" for name, value in fields]
-    _write_lines(None, lines)
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_sort(args) -> int:
     seq = load_sequence(args.infile)
-    outcome = _run_sorter(args.algo, args.pivot, seq, args.k, args.seed)
-    ok = outcome.is_sorted and verify_sorted_stable_permutation(seq, outcome.output)
-    print(f"comparisons={outcome.comparisons}")
-    print(f"moves={outcome.moves}")
-    print(f"retries={outcome.pivot_retries}")
-    print(f"depth={outcome.max_recursion_depth}")
-    print(f"sorted={'true' if ok else 'false'}")
-    if args.out:
-        dump_sequence(outcome.output, args.out)
+    if args.algo == "blocked":
+        _check_blocked(args.k, seq.n)
+    # --out is opened after every usage error but before the sort: it may name the input.
+    with open(args.out, "w", encoding="ascii") if args.out else nullcontext() as fh:
+        outcome = _run_sorter(args.algo, args.pivot, seq, args.k, args.seed)
+        ok = outcome.is_sorted and verify_sorted_stable_permutation(seq, outcome.output)
+        print(f"comparisons={outcome.comparisons}")
+        print(f"moves={outcome.moves}")
+        print(f"retries={outcome.pivot_retries}")
+        print(f"depth={outcome.max_recursion_depth}")
+        print(f"sorted={'true' if ok else 'false'}")
+        if fh:
+            dump_sequence(outcome.output, fh)
     if not ok:
         print("presort sort: output failed verification", file=sys.stderr)
         return EXIT_VERIFY
@@ -273,13 +271,16 @@ def cmd_bench(args) -> int:
 
 
 def cmd_census(args) -> int:
-    rows = enumerate_census(args.n)
-    worst = census_worst_cases(args.n, PivotStrategy(args.worstcase.split("-")[1])) if args.worstcase else {}
-    lines = [
-        f"{_fmt_sizes(row.sizes)},{row.nu},{row.count_bound:.6f},{row.info_bits},{worst.get(row.sizes, '')}"
-        for row in rows
-    ]
-    _write_lines(args.out, [CENSUS_HEADER] + lines)
+    what, top = ("census --worstcase", MAX_WORST_CASE_N) if args.worstcase else ("census", MAX_CENSUS_N)
+    if not 1 <= args.n <= top:
+        raise ValueError(f"{what} supports 1 <= n <= {top}, got {args.n}")
+    with _open_out(args.out) as fh:
+        worst = census_worst_cases(args.n, PivotStrategy(args.worstcase.split("-")[1])) if args.worstcase else {}
+        lines = [
+            f"{_fmt_sizes(row.sizes)},{row.nu},{row.count_bound:.6f},{row.info_bits},{worst.get(row.sizes, '')}"
+            for row in enumerate_census(args.n)
+        ]
+        fh.write("\n".join([CENSUS_HEADER] + lines) + "\n")
     return EXIT_OK
 
 

@@ -52,10 +52,7 @@ class GenSpec:
         elif self.family == "sorted-type":
             if not self.sizes:
                 raise ValueError("sorted-type family needs a non-empty sizes tuple")
-            if any(b <= 0 for b in self.sizes):
-                raise ValueError(f"block sizes must be positive: {self.sizes}")
-            if sum(self.sizes) != self.n:
-                raise ValueError(f"block sizes sum to {sum(self.sizes)}, expected n={self.n}")
+            _check_sizes(self.sizes, self.n)
         elif self.family == "multiset":
             if self.h is None or self.n < 1 or not 1 <= self.h <= self.n:
                 raise ValueError(f"multiset family needs 1 <= h <= n, got h={self.h} n={self.n}")

@@ -320,7 +320,8 @@ def _select_kth_key(keys: list[int], k: int, m: Meter) -> int:
     exactly; n/5 + 7n/10), so the work is linear.  Keys above the median
     pivot are taken in a second pass only when those below miss the
     target, charged as testing just the keys not below (_split3_keys's
-    schedule).  Mutates its argument.
+    schedule).  Only a list of at most 5 keys is sorted in place; a longer
+    one is never reordered, as _SELECTORS requires.
     """
     while True:
         n = len(keys)
@@ -511,6 +512,14 @@ def _psort(keys: list[int], select, rng, m: Meter, depth: int) -> tuple[int, int
     return retries + lo_retries + hi_retries, max(lo_depth, hi_depth)
 
 
+def _charge_psort(keys: list[int], strategy: PivotStrategy, m: Meter) -> tuple[int, int]:
+    """partition_sort's charges on keys, which it only reads: (retries, depth)."""
+    select = _SELECTORS[strategy.kind]
+    # A Random costs microseconds, and no segment of <= MERGE_SEGMENT selects.
+    rng = None if select is _median_pivot or len(keys) <= MERGE_SEGMENT else random.Random(strategy.seed)
+    return _psort(keys, select, rng, m, 1)
+
+
 def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = None) -> SortOutcome:
     """Stable adaptive partition sort.
 
@@ -524,15 +533,11 @@ def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = No
     three ways, and recurse on the outer parts; duplicates of the pivot
     are done the moment they land in the middle.  Comparisons spent
     finding and verifying pivots are charged like any others.  The
-    recursion runs on key lists and the items are routed once (_outcome).
+    recursion runs on keys (_charge_psort); _outcome routes the items once.
     """
     m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
-    select = _SELECTORS[strategy.kind]
-    # A Random costs microseconds, and no segment of <= MERGE_SEGMENT selects.
-    rng = None if select is _median_pivot or s.n <= MERGE_SEGMENT else random.Random(strategy.seed)
-    retries, max_depth = _psort(s.keys(), select, rng, m, 1)
-    return _outcome(s, m, c0, v0, retries, max_depth)
+    return _outcome(s, m, c0, v0, *_charge_psort(s.keys(), strategy, m))
 
 
 def _check_window(k: int, n: int) -> None:
@@ -562,10 +567,5 @@ def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
             m.moves += _merge_sort_keys([it[0] for it in window], m)[1]
             items[lo : lo + 2 * k] = sorted(window, key=_KEY)
     keys = list(map(_KEY, items))
-    is_sorted = all(keys[i] <= keys[i + 1] for i in range(n - 1))
-    return SortOutcome(
-        Sequence(items),
-        comparisons=m.comparisons - c0,
-        moves=m.moves - v0,
-        is_sorted=is_sorted,
-    )
+    is_sorted = not any(map(gt, keys, islice(keys, 1, None)))
+    return SortOutcome(Sequence(items), m.comparisons - c0, m.moves - v0, is_sorted=is_sorted)

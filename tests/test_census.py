@@ -14,7 +14,7 @@ from presort.census import (
 )
 from presort.core import Meter, Sequence
 from presort.measures import decompose_maximal
-from presort.sorters import PivotStrategy, partition_sort
+from presort.sorters import PIVOT_KINDS, PivotStrategy, partition_sort
 
 
 def census_dict(n):
@@ -132,13 +132,16 @@ def test_worst_case_n_capped():
         census_worst_cases(MAX_WORST_CASE_N + 1, PivotStrategy("median"))
 
 
-def test_census_worst_cases_single_sweep_matches_per_class():
-    """Each type's worst case equals a brute-force max over its members."""
-    strat = PivotStrategy("randmid", seed=5)
-    sweep = census_worst_cases(5, strat)
-    assert set(sweep) == set(census_dict(5))
+@pytest.mark.parametrize("kind", PIVOT_KINDS)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_worst_cases_single_sweep_matches_per_class(n, kind):
+    """Each type's worst case equals a brute-force max of partition_sort's
+    reported comparisons over its members."""
+    strat = PivotStrategy(kind, seed=5)
+    sweep = census_worst_cases(n, strat)
+    assert set(sweep) == set(census_dict(n))
     brute: dict[tuple[int, ...], int] = {}
-    for perm in permutations(range(1, 6)):
+    for perm in permutations(range(1, n + 1)):
         seq = Sequence.from_keys(perm)
         sizes = decompose_maximal(seq).size_multiset()
         cost = partition_sort(seq, strat, Meter()).comparisons

@@ -14,7 +14,9 @@ from presort.sorters import (
     MERGE_SEGMENT,
     RANDOM_MIDDLE_ATTEMPT_CAP,
     SMALL_SEGMENT,
+    PIVOT_KINDS,
     PivotStrategy,
+    _charge_psort,
     _group_medians,
     _insertion_keys,
     _insertion_sort_keys,
@@ -491,6 +493,29 @@ def test_psort_matches_per_item_reference(keys, order):
         assert out.output.items == tuple(items)
         got = (out.comparisons, out.moves, out.pivot_retries, out.max_recursion_depth)
         assert got == (ref.comparisons, ref.moves, retries, depth), strategy
+
+
+@given(
+    st.tuples(st.integers(0, 300), st.sampled_from((2, 8, 1000))).flatmap(
+        lambda na: st.lists(st.integers(0, na[1] - 1), min_size=na[0], max_size=na[0])
+    ),
+    st.integers(0, 9),
+)
+@settings(max_examples=100, deadline=None)
+def test_charge_psort_matches_partition_sort(keys, seed):
+    """The key recursion the census sweep charges is all partition_sort
+    charges: the same comparisons, moves, retries and depth, counted from
+    a meter that already holds counts, and the keys are only read."""
+    for kind in PIVOT_KINDS:
+        strategy = PivotStrategy(kind, seed)
+        out = partition_sort(Sequence.from_keys(keys), strategy, Meter())
+        m = Meter()
+        m.comparisons, m.moves = 17, 5
+        drawn = list(keys)
+        retries, depth = _charge_psort(keys, strategy, m)
+        assert keys == drawn
+        got = (m.comparisons - 17, m.moves - 5, retries, depth)
+        assert got == (out.comparisons, out.moves, out.pivot_retries, out.max_recursion_depth), kind
 
 
 def test_nothing_moves_exactly_when_the_input_is_sorted():
