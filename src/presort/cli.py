@@ -191,8 +191,9 @@ def _open_out(path: Optional[str]):
 
 def cmd_gen(args) -> int:
     spec = GenSpec(args.family, args.n, k=args.k, sizes=args.sizes, h=args.h, seed=args.seed)
-    seq = generate(spec)
-    dump_sequence(seq, args.out, header=f"family={spec.family} n={spec.n} seed={spec.seed}")
+    spec.validate()  # usage errors first, then --out is opened, then the sequence built
+    with open(args.out, "w", encoding="ascii") as fh:
+        dump_sequence(generate(spec), fh, header=f"family={spec.family} n={spec.n} seed={spec.seed}")
     print(f"family={spec.family} n={spec.n}")
     return EXIT_OK
 

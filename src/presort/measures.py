@@ -177,12 +177,17 @@ def profile(s: Sequence) -> Profile:
     n = s.n
     if n == 0:
         return Profile(0, (), 0, 0.0, 0.0, 0, 0, 0, 0)
-    order = _rank_order(s)
-    sizes = decompose_maximal(s, order).size_multiset()
-    displacement = max_displacement(s, order)
-    del order  # inversions builds its own merge arrays; keep the peak down
+    # Items in (key, tag) order rank as they stand: one block, one run, no
+    # displacement.  Their n - 1 tuple tests cost about what one sort does.
+    if any(map(gt, s.items, islice(s.items, 1, None))):
+        order = _rank_order(s)
+        sizes = decompose_maximal(s, order).size_multiset()
+        displacement = max_displacement(s, order)
+        del order  # inversions builds its own merge arrays; keep the peak down
+        runs = count_runs(s)
+    else:
+        sizes, displacement, runs = (n,), 0, 1
     # A single run has no inversions, so its scan need not run twice.
-    runs = count_runs(s)
     return Profile(
         n=n,
         sizes=sizes,

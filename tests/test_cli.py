@@ -65,6 +65,18 @@ def test_gen_bad_params_are_usage_errors(tmp_path, capsys):
     assert run(capsys, "gen", "--family", "displacement", "--n", "4", "--out", out)[0] == 1
     assert run(capsys, "gen", "--family", "sorted-type", "--n", "4", "--type", "3,2", "--out", out)[0] == 1
     assert run(capsys, "gen", "--family", "multiset", "--n", "4", "--h", "9", "--out", out)[0] == 1
+    assert not os.path.exists(out)  # usage errors come before --out is opened
+
+
+def test_gen_unwritable_out_exits_before_generating(tmp_path, capsys, monkeypatch):
+    def no_generate(spec):
+        raise AssertionError(f"generated {spec} before opening --out")
+
+    monkeypatch.setattr(cli, "generate", no_generate)
+    out = tmp_path / "missing" / "x.txt"
+    code, stdout, err = run(capsys, "gen", "--family", "random", "--n", "1000000", "--out", str(out))
+    assert code == 2
+    assert stdout == "" and err.startswith("presort gen: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ["-3", "3,-2", "3,", "2--1"])

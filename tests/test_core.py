@@ -1,9 +1,13 @@
 import io
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presort import core
+from presort.cli import main
 from presort.core import (
     KEY_MAX,
     KEY_MIN,
@@ -16,6 +20,8 @@ from presort.core import (
     sorted_check,
     verify_sorted_stable_permutation,
 )
+from presort.generators import GenSpec, generate
+from presort.sorters import PivotStrategy, partition_sort
 
 from counting import counting_keys, executed
 from vectors import SWAPPED_PAIRS16
@@ -107,6 +113,16 @@ def test_verify_rejects_length_and_multiset_mismatch():
 def test_verify_rejects_unsorted_output():
     a = Sequence.from_keys([2, 1])
     assert not verify_sorted_stable_permutation(a, a)
+    # Same tuple, so the same multiset, yet equal keys with falling tags.
+    a = Sequence([(1, 1), (1, 0)])
+    assert not verify_sorted_stable_permutation(a, a)
+
+
+def test_verify_accepts_a_sorted_input_returned_as_it_came():
+    s = Sequence.from_keys([1, 2, 2, 3, 5, 5])
+    outcome = partition_sort(s, PivotStrategy("median"), Meter())
+    assert outcome.output is s
+    assert verify_sorted_stable_permutation(s, outcome.output)
 
 
 # -- text format --------------------------------------------------------------
@@ -145,6 +161,9 @@ def test_load_rejects_non_ascii_bytes(tmp_path):
     p = tmp_path / "latin.txt"
     p.write_bytes(b"1\n\xc3\xa9\n2\n")
     with pytest.raises(SequenceFormatError, match="not ASCII"):
+        load_sequence(p)
+    p.write_bytes(b"# caf\xc3\xa9\n1\n2\n")  # in a header line too
+    with pytest.raises(SequenceFormatError, match="not ASCII text: byte 0xc3"):
         load_sequence(p)
 
 
@@ -186,9 +205,35 @@ def test_load_reports_bad_line_decoded_before_a_non_ascii_byte(tmp_path):
         load_sequence(p)
 
 
+def test_load_path_breaks_lines_at_a_lone_cr(tmp_path):
+    # Text mode breaks lines at a lone '\r', so a path's '1\r2' is two keys.
+    p = tmp_path / "cr.txt"
+    p.write_bytes(b"# a\rb\n1\r2\r\n3")
+    with pytest.raises(SequenceFormatError, match="^line 2: not an integer: 'b'$"):
+        load_sequence(p)
+    p.write_bytes(b"# a\r1\r2\r\n3")
+    assert load_sequence(p).keys() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("header", [b"", b"# run_id=7\n"])
+def test_load_gen_file_takes_the_bulk_path(tmp_path, capsys, monkeypatch, header):
+    p = tmp_path / "gen.txt"
+    assert main(["gen", "--family", "random", "--n", "10000", "--seed", "7", "--out", str(p)]) == 0
+    capsys.readouterr()
+    p.write_bytes(header + p.read_bytes())
+
+    def no_reference(lines):
+        raise AssertionError("the line-by-line parser ran on a presort gen file")
+
+    monkeypatch.setattr(core, "_parse_lines", no_reference)
+    assert load_sequence(p) == generate(GenSpec("random", 10000, seed=7))
+
+
 # A sequence file grammar, good lines and bad: keys with signs, leading
 # zeros, '_' separators and padding, keys just inside and outside the 64-bit
-# range, comments anywhere, blank lines and junk.
+# range, comments anywhere, blank lines and junk.  Lines end in '\n', '\r\n'
+# or a lone '\r'; padding includes the '\x0b', '\x0c' and '\x1c' that
+# str.strip() removes.
 _NEAR_EDGES = [KEY_MIN - 1, KEY_MIN, KEY_MAX, KEY_MAX + 1, -(2**64), 2**64]
 _OTHER_LINES = ["", " ", "\t", "#", "  # indented", "x", "1.5", "--1", "+", "-", "0x10", "1 2"]
 
@@ -203,34 +248,50 @@ def _key_line(draw, valid):
         cut = draw(st.integers(0, len(digits)))
         digits = digits[:cut] + "_" + digits[cut:]
     sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
-    pad = st.sampled_from(["", "", "", " ", "\t", " \t "])
+    pad = st.sampled_from(["", "", "", " ", "\t", " \t ", "\x0b", "\x0c", "\x1c"])
     return draw(pad) + sign + digits + draw(pad)
 
 
 @st.composite
 def _sequence_text(draw):
     """Header comments, then key lines only, or key lines mixed with the rest."""
-    header = draw(st.lists(st.sampled_from(["# family=sorted n=3 seed=7", "#"]), max_size=2))
+    header = draw(st.lists(st.sampled_from(["# family=sorted n=3 seed=7", "#", "# run_id=7"]), max_size=2))
     if draw(st.booleans()):
         line = _key_line(valid=True)
     else:
         line = st.one_of(*[_key_line(valid=False)] * 3, st.sampled_from(_OTHER_LINES))
     lines = header + draw(st.lists(line, max_size=10))
-    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
     text = "".join(line + end for line, end in zip(lines, ends))
     if ends and draw(st.booleans()):
         text = text[: -len(ends[-1])]
     return text
 
 
+def _or_error(load, source):
+    """load(source), or the text of the SequenceFormatError it raises."""
+    try:
+        return load(source)
+    except SequenceFormatError as exc:
+        return str(exc)
+
+
+def _reference(lines):
+    return Sequence.from_keys(_parse_lines(lines))
+
+
 @given(_sequence_text())
 @settings(max_examples=400)
 def test_load_matches_per_line_reference(text):
+    assert _or_error(load_sequence, io.StringIO(text)) == _or_error(_reference, io.StringIO(text))
+    # A path is read as bytes; the reference reads it in text mode, whose
+    # universal newlines also break lines at a lone '\r'.
+    fd, path = tempfile.mkstemp(suffix=".txt")
     try:
-        want = Sequence.from_keys(_parse_lines(io.StringIO(text)))
-    except SequenceFormatError as exc:
-        with pytest.raises(SequenceFormatError) as got:
-            load_sequence(io.StringIO(text))
-        assert str(got.value) == str(exc)
-    else:
-        assert load_sequence(io.StringIO(text)) == want
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("ascii"))
+        with open(path, encoding="ascii") as fh:
+            want = _or_error(_reference, fh)
+        assert _or_error(load_sequence, path) == want
+    finally:
+        os.unlink(path)

@@ -261,3 +261,40 @@ def test_profile_invariants_random(keys):
         assert 1 <= p.runs <= n
         assert n * p.entropy <= p.bound - n + 1e-6
         assert p.bound - n <= n * p.entropy + n + 1e-6
+
+
+def _profile_from_parts(s):
+    """The Profile that profile(s) must equal, from each measure called directly."""
+    sizes = decompose_maximal(s).size_multiset()
+    n = s.n
+    h, b = (entropy(sizes, n), entropy_bound(sizes, n)) if n else (0.0, 0.0)
+    return (n, sizes, len(sizes), h, b, inversions(s), max_displacement(s), count_runs(s), len(set(s.keys())))
+
+
+@st.composite
+def _profile_input(draw):
+    """In-order items with ties, key-sorted items whose equal keys carry
+    falling tags, or any keys at all."""
+    keys = draw(st.lists(st.integers(-5, 5), max_size=60))
+    shape = draw(st.sampled_from(["in order", "falling tags", "any"]))
+    if shape == "any":
+        return Sequence.from_keys(keys)
+    items = sorted(zip(keys, range(len(keys))))
+    if shape == "falling tags":
+        items.sort(key=lambda item: (item[0], -item[1]))
+    return Sequence(items)
+
+
+@given(_profile_input())
+@settings(max_examples=300)
+def test_profile_fields_match_each_measure(s):
+    p = profile(s)
+    fields = (p.n, p.sizes, p.block_count, p.entropy, p.bound, p.inversions, p.displacement, p.runs, p.distinct_keys)
+    assert fields == _profile_from_parts(s)
+
+
+def test_profile_sorted_keys_with_falling_tags_are_not_in_order():
+    p = profile(Sequence([(1, 1), (1, 0)]))
+    assert p.sizes == (1, 1)
+    assert p.displacement == 1
+    assert (p.inversions, p.runs) == (0, 1)
