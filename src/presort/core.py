@@ -1,9 +1,10 @@
 """Tagged items, comparison metering, and the shared verification oracle.
 
-Every algorithm in this package works on sequences of items, each a plain
-(key, tag) tuple of ints.  The key is what gets compared; the tag remembers
+Every algorithm in this package works on sequences of items, each a
+(key, tag) pair of ints.  The key is what gets compared; the tag remembers
 where the item started, so stability can be checked after the fact instead
-of trusted.
+of trusted.  A Sequence holds a key list and a tag column, and this module
+alone decides their layout: no other builds or reads per-item pairs.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import io
 import os
 import re
-from itertools import count, islice
-from operator import eq, itemgetter
+from itertools import compress, islice
+from operator import eq, ge, gt, itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 KEY_MIN = -(2**63)
@@ -23,45 +24,72 @@ Item = tuple[int, int]
 
 
 class Sequence:
-    """An immutable run of (key, tag) items.
+    """An immutable run of (key, tag) items, held as a key and a tag column.
 
     For a freshly loaded or generated input the tags are exactly the
-    positions 0..n-1.  Slices produced mid-algorithm (partition pieces and
-    the like) keep their original tags, which is the whole point.
+    positions 0..n-1, as range(n).  Slices produced mid-algorithm (partition
+    pieces and the like) keep their original tags, which is the whole point.
+    items, the pairs, is built on first request and kept.
     """
 
-    __slots__ = ("items",)
+    __slots__ = ("_keys", "_tags", "_items")
 
     def __init__(self, items: Iterable[Item]):
-        self.items: tuple[Item, ...] = tuple(items)
+        items = tuple(items)
+        self._keys, self._tags, self._items = list(map(itemgetter(0), items)), list(map(itemgetter(1), items)), None
+
+    @classmethod
+    def _of(cls, keys: list[int], tags: Iterable[int]) -> "Sequence":
+        s = cls.__new__(cls)  # both columns taken over, uncopied
+        s._keys, s._tags, s._items = keys, tags, None
+        return s
 
     @classmethod
     def from_keys(cls, keys: Iterable[int]) -> "Sequence":
-        # keys must be ints; they are paired as given.  A list first, then the
-        # tuple, is about twice as fast as a tuple from the zip at n = 10**6.
-        return cls(list(zip(keys, count())))
+        # keys must be ints; they are kept as given, tagged by position.
+        return cls._of(keys := list(keys), range(len(keys)))
 
     @property
     def n(self) -> int:
-        return len(self.items)
+        return len(self._keys)
+
+    @property
+    def items(self) -> tuple[Item, ...]:
+        if self._items is None:
+            self._items = tuple(zip(self._keys, self._tags))
+        return self._items
 
     def keys(self) -> list[int]:
-        return list(map(itemgetter(0), self.items))
+        return list(self._keys)
 
     def tags(self) -> list[int]:
-        return list(map(itemgetter(1), self.items))
+        return list(self._tags)
+
+    def columns(self) -> tuple[list[int], Iterable[int]]:
+        """The key list and tag column themselves, not copies: read only."""
+        return self._keys, self._tags
+
+    def tags_rise(self) -> bool:
+        """True when no tag is below the one before it, as on fresh input."""
+        return type(self._tags) is range or not any(map(gt, self._tags, islice(self._tags, 1, None)))
+
+    def take(self, order: list[int]) -> "Sequence":
+        """The items at the positions in order; fresh tags are the positions, so order becomes the tags."""
+        tags = order if type(self._tags) is range else list(map(self._tags.__getitem__, order))
+        return Sequence._of(list(map(self._keys.__getitem__, order)), tags)
 
     def __iter__(self) -> Iterator[Item]:
-        return iter(self.items)
+        return zip(self._keys, self._tags)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and self.items == other.items
+        # Tags element by element: range(2) == [0, 1] is False.
+        return isinstance(other, Sequence) and self._keys == other._keys and all(map(eq, self._tags, other._tags))
 
     def __repr__(self) -> str:
         if self.n > 12:
-            head = ", ".join(str(key) for key, _ in self.items[:12])
+            head = ", ".join(map(str, self._keys[:12]))
             return f"Sequence([{head}, ...], n={self.n})"
-        return f"Sequence({self.keys()!r})"
+        return f"Sequence({self._keys!r})"
 
 
 class Meter:
@@ -104,7 +132,7 @@ def sorted_check(s: Sequence, m: Meter) -> bool:
     Stops at the first violation, so a sorted input costs n-1 comparisons
     and an input that breaks at the first pair costs exactly 1.
     """
-    return m.first_descent(s.keys()) < 0
+    return m.first_descent(s._keys) < 0
 
 
 def verify_sorted_stable_permutation(inp: Sequence, out: Sequence) -> bool:
@@ -114,15 +142,22 @@ def verify_sorted_stable_permutation(inp: Sequence, out: Sequence) -> bool:
     non-decreasing, and equal keys appear in increasing tag order.  Never
     raises; any mismatch (including length) just returns False.
     """
-    if inp.n != out.n:
+    keys, tags = out._keys, out._tags
+    if inp.n != out.n or any(map(gt, keys, islice(keys, 1, None))):
         return False
-    prev_key, prev_tag = KEY_MIN, -1
-    for key, tag in out.items:
-        if key < prev_key or (key == prev_key and tag <= prev_tag):
-            return False
-        prev_key, prev_tag = key, tag
-    # The same tuple is the same multiset (sorters return an unmoved input).
-    return out.items is inp.items or all(map(eq, sorted(inp.items), out.items))
+    same = () if type(tags) is range else list(map(eq, keys, islice(keys, 1, None)))
+    if any(map(ge, compress(tags, same), compress(islice(tags, 1, None), same))):
+        return False  # equal keys whose tags do not rise
+    if out is inp:  # sorters return an unmoved input as it came
+        return True
+    if type(inp._tags) is not range:
+        return all(map(eq, sorted(zip(inp._keys, inp._tags)), zip(keys, tags)))
+    # Tags in 0..n-1 whose keys match the input's there are distinct, hence
+    # a permutation: a repeated tag would be two equal keys, whose tags rise.
+    try:
+        return min(tags, default=0) >= 0 and keys == list(map(inp._keys.__getitem__, tags))
+    except (IndexError, TypeError):  # a tag past the end, or not an int
+        return False
 
 
 # -- text exchange format ----------------------------------------------------
@@ -139,12 +174,6 @@ class SequenceFormatError(ValueError):
     """Raised when a sequence file does not parse or a key is out of range."""
 
 
-def _check_key(value: int, where: str) -> int:
-    if not KEY_MIN <= value <= KEY_MAX:
-        raise SequenceFormatError(f"{where}: key {value} outside 64-bit signed range")
-    return value
-
-
 def _parse_lines(lines: Iterable[str]) -> list[int]:
     """The reference parser: one line at a time, raising on the first bad one."""
     keys = []
@@ -158,7 +187,9 @@ def _parse_lines(lines: Iterable[str]) -> list[int]:
             value = int(line)
         except ValueError:
             raise SequenceFormatError(f"line {lineno}: not an integer: {line!r}") from None
-        keys.append(_check_key(value, f"line {lineno}"))
+        if not KEY_MIN <= value <= KEY_MAX:
+            raise SequenceFormatError(f"line {lineno}: key {value} outside 64-bit signed range")
+        keys.append(value)
     return keys
 
 
@@ -198,8 +229,8 @@ def load_sequence(source: Union[str, os.PathLike, io.TextIOBase]) -> Sequence:
             data = fh.read()
         keys = _parse_bulk(data)
         if keys is not None:
-            del data  # free the file's bytes before the items are built
-            return Sequence.from_keys(keys)
+            del data  # free the file's bytes before the sequence is used
+            return Sequence._of(keys, range(len(keys)))
         source = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
     try:
         return Sequence.from_keys(_parse_lines(source))
@@ -217,5 +248,5 @@ def dump_sequence(s: Sequence, sink: Union[str, os.PathLike, io.TextIOBase], hea
     if header:
         for line in header.splitlines():
             sink.write(f"# {line}\n")
-    for key, _ in s.items:
+    for key in s._keys:
         sink.write(f"{key}\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from operator import gt, sub
+from operator import gt, ne, sub
 from typing import Optional
 
 from .core import Sequence
@@ -59,9 +59,10 @@ class Profile:
 
 
 def _rank_order(s: Sequence) -> list[int]:
-    """Input positions listed by rank: items ranked by (key, tag)."""
-    items = s.items
-    return sorted(range(len(items)), key=items.__getitem__)
+    """Input positions by (key, tag) rank: a stable sort by key, by tag first if tags fall."""
+    keys, tags = s.columns()
+    order = range(len(keys)) if s.tags_rise() else sorted(range(len(keys)), key=tags.__getitem__)
+    return sorted(order, key=keys.__getitem__)
 
 
 def decompose_maximal(s: Sequence, order: Optional[list[int]] = None) -> Decomposition:
@@ -92,7 +93,7 @@ def inversions(s: Sequence) -> int:
     runs already in order (last key of the left <= first of the right) is
     copied through without merging.
     """
-    keys = s.keys()
+    keys = s.columns()[0]
     if not any(map(gt, keys, islice(keys, 1, None))):
         return 0
     total = 0
@@ -136,7 +137,7 @@ def max_displacement(s: Sequence, order: Optional[list[int]] = None) -> int:
 
 def count_runs(s: Sequence) -> int:
     """Number of maximal non-decreasing contiguous runs (0 for empty)."""
-    keys = s.keys()
+    keys = s.columns()[0]
     if not keys:
         return 0
     return 1 + sum(map(gt, keys, islice(keys, 1, None)))
@@ -177,17 +178,17 @@ def profile(s: Sequence) -> Profile:
     n = s.n
     if n == 0:
         return Profile(0, (), 0, 0.0, 0.0, 0, 0, 0, 0)
-    # Items in (key, tag) order rank as they stand: one block, one run, no
-    # displacement.  Their n - 1 tuple tests cost about what one sort does.
-    if any(map(gt, s.items, islice(s.items, 1, None))):
+    keys = s.columns()[0]
+    # Sorted keys with rising tags rank as they stand: one block, no displacement.
+    if s.tags_rise() and not any(map(gt, keys, islice(keys, 1, None))):
+        sizes, displacement, runs = (n,), 0, 1
+    else:
         order = _rank_order(s)
         sizes = decompose_maximal(s, order).size_multiset()
         displacement = max_displacement(s, order)
         del order  # inversions builds its own merge arrays; keep the peak down
         runs = count_runs(s)
-    else:
-        sizes, displacement, runs = (n,), 0, 1
-    # A single run has no inversions, so its scan need not run twice.
+    # One run has no inversions (no second scan), and its equal keys are adjacent.
     return Profile(
         n=n,
         sizes=sizes,
@@ -197,5 +198,5 @@ def profile(s: Sequence) -> Profile:
         inversions=inversions(s) if runs > 1 else 0,
         displacement=displacement,
         runs=runs,
-        distinct_keys=len(set(s.keys())),
+        distinct_keys=1 + sum(map(ne, keys, islice(keys, 1, None))) if runs == 1 else len(set(keys)),
     )

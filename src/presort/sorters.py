@@ -20,7 +20,7 @@ charge exactly the schedule of the plain per-test loop they stand for;
 the tests hold them to what that loop executes.
 
 The sorters meter their keys alone, then route the items once with one
-built-in stable sort by key (blocked_sort routes window by window).
+stable sort of positions by key (blocked_sort routes window by window).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from operator import gt, itemgetter
+from operator import gt
 from typing import Optional
 
 from .core import Meter, Sequence
@@ -45,10 +45,6 @@ MERGE_SEGMENT = 64
 # Sampling attempts select_random_middle makes before giving up and
 # falling back to the deterministic selector.
 RANDOM_MIDDLE_ATTEMPT_CAP = 64
-
-# The key of an item, for the built-in sorts that route items.
-_KEY = itemgetter(0)
-
 
 @dataclass(frozen=True)
 class PivotStrategy:
@@ -103,13 +99,13 @@ def stable_three_way_partition(s: Sequence, pivot_key: int, m: Meter):
     one test settles "below", a second separates "above" from "equal", so
     2n - |below| tests in all, and one move per item routed.
     """
-    items = s.items
-    lo = [it for it in items if it[0] < pivot_key]
-    eq = [it for it in items if it[0] == pivot_key]
-    hi = [it for it in items if it[0] > pivot_key]
-    m.comparisons += 2 * len(items) - len(lo)
-    m.moves += len(items)
-    return Sequence(lo), Sequence(eq), Sequence(hi)
+    keys = s.columns()[0]
+    lo = [i for i, k in enumerate(keys) if k < pivot_key]
+    eq = [i for i, k in enumerate(keys) if k == pivot_key]
+    hi = [i for i, k in enumerate(keys) if k > pivot_key]
+    m.comparisons += 2 * len(keys) - len(lo)
+    m.moves += len(keys)
+    return s.take(lo), s.take(eq), s.take(hi)
 
 
 def _split3_keys(keys: list[int], u: int, v: int, m: Meter):
@@ -295,11 +291,12 @@ def _outcome(s: Sequence, m: Meter, c0: int, v0: int, retries: int = 0, depth: i
     """The outcome of a sort of s charged to m since it read (c0, v0).
 
     The charged kernels run on keys alone.  A stable sort has only one
-    correct output, so one built-in stable sort by key routes the items.
+    correct output, so one stable sort of positions by key routes the items.
     Only an input already in order moves nothing, and it is its own output.
     """
     moves = m.moves - v0
-    out = Sequence(sorted(s.items, key=_KEY)) if moves else s
+    keys = s.columns()[0]
+    out = s.take(sorted(range(len(keys)), key=keys.__getitem__)) if moves else s
     return SortOutcome(out, m.comparisons - c0, moves, retries, depth)
 
 
@@ -537,7 +534,7 @@ def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = No
     """
     m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
-    return _outcome(s, m, c0, v0, *_charge_psort(s.keys(), strategy, m))
+    return _outcome(s, m, c0, v0, *_charge_psort(s.columns()[0], strategy, m))
 
 
 def _check_window(k: int, n: int) -> None:
@@ -560,12 +557,13 @@ def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
     n = s.n
     _check_window(k, n)
     c0, v0 = m.comparisons, m.moves
-    items = list(s.items)
+    keys, order = s.columns()[0], list(range(n))
     for first in (0, k):
         for lo in range(first, n, 2 * k):
-            window = items[lo : lo + 2 * k]
-            m.moves += _merge_sort_keys([it[0] for it in window], m)[1]
-            items[lo : lo + 2 * k] = sorted(window, key=_KEY)
-    keys = list(map(_KEY, items))
+            window = order[lo : lo + 2 * k]
+            m.moves += _merge_sort_keys(list(map(keys.__getitem__, window)), m)[1]
+            order[lo : lo + 2 * k] = sorted(window, key=keys.__getitem__)
+    out = s.take(order)
+    keys = out.columns()[0]
     is_sorted = not any(map(gt, keys, islice(keys, 1, None)))
-    return SortOutcome(Sequence(items), m.comparisons - c0, m.moves - v0, is_sorted=is_sorted)
+    return SortOutcome(out, m.comparisons - c0, m.moves - v0, is_sorted=is_sorted)

@@ -1,6 +1,7 @@
 import io
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,91 @@ def test_verify_accepts_a_sorted_input_returned_as_it_came():
     outcome = partition_sort(s, PivotStrategy("median"), Meter())
     assert outcome.output is s
     assert verify_sorted_stable_permutation(s, outcome.output)
+
+
+# Stable sorts of the input keys [2, 1, 2], forged: each must read False.
+FORGED_OUTPUTS = {
+    "duplicate tag": [(1, 1), (2, 0), (2, 0)],
+    "negative tag": [(1, 1), (2, -3), (2, 2)],  # -3 indexes the key 2 at tag 0
+    "tag past the end": [(1, 1), (2, 0), (2, 3)],
+    "key not its tag's": [(1, 0), (2, 1), (2, 2)],
+    "equal keys, falling tags": [(1, 1), (2, 2), (2, 0)],
+    "one item short": [(1, 1), (2, 0)],
+    "one item long": [(1, 1), (2, 0), (2, 2), (2, 3)],
+}
+STABLE_OUTPUT = [(1, 1), (2, 0), (2, 2)]
+
+
+@pytest.mark.parametrize("fresh", [True, False], ids=["range tags", "list tags"])
+@pytest.mark.parametrize("name", FORGED_OUTPUTS)
+def test_verify_rejects_forged_outputs(name, fresh):
+    inp = Sequence.from_keys([2, 1, 2]) if fresh else Sequence([(2, 0), (1, 1), (2, 2)])
+    assert verify_sorted_stable_permutation(inp, Sequence(STABLE_OUTPUT))
+    assert verify_sorted_stable_permutation(inp, Sequence(FORGED_OUTPUTS[name])) is False
+
+
+def test_verify_checks_tags_that_are_not_positions():
+    inp = Sequence([(2, 7), (1, 3), (2, 9)])
+    assert verify_sorted_stable_permutation(inp, Sequence([(1, 3), (2, 7), (2, 9)]))
+    assert not verify_sorted_stable_permutation(inp, Sequence([(1, 3), (2, 7), (2, 8)]))
+    assert not verify_sorted_stable_permutation(inp, Sequence([(1, 3), (2, 7), (2, 7)]))
+    assert not verify_sorted_stable_permutation(inp, Sequence([(1, 1), (2, 0), (2, 2)]))
+
+
+def test_verify_rejects_fresh_tags_on_moved_keys():
+    # Sorted keys tagged 0..n-1 afresh are not the input's items.
+    inp = Sequence.from_keys([2, 1, 2])
+    assert not verify_sorted_stable_permutation(inp, Sequence.from_keys([1, 2, 2]))
+    assert verify_sorted_stable_permutation(inp, partition_sort(inp, PivotStrategy("median"), Meter()).output)
+
+
+def test_sorted_input_allocates_no_pairs():
+    """Fresh input is a key list and range(n): building 10^5 sorted keys,
+    sorting and verifying them allocates under 16 bytes a key, where
+    (key, tag) pairs took about 100."""
+    keys = list(range(10**5))
+    tracemalloc.start()
+    try:
+        s = Sequence.from_keys(keys)
+        outcome = partition_sort(s, PivotStrategy("median"), Meter())
+        ok = verify_sorted_stable_permutation(s, outcome.output)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and outcome.output is s
+    assert peak < 16 * len(keys)
+
+
+@pytest.mark.parametrize("keys", [[], [7], [3, 1, 3, 2], list(range(20, 0, -1)), [5] * 14])
+def test_pair_and_column_sequences_agree(keys):
+    """Sequence(pairs) stores list tags, from_keys range(n), and a sorter's
+    output the routed positions; each reads the same as the pairs."""
+    fresh = Sequence.from_keys(keys)
+    pairs = Sequence(zip(keys, range(len(keys))))
+    out = partition_sort(fresh, PivotStrategy("median"), Meter()).output
+    ref = Sequence(sorted(pairs.items, key=lambda it: it[0]))
+    for a, b in ((fresh, pairs), (pairs, fresh), (out, ref), (ref, out)):
+        assert a == b
+        assert a.items == b.items == tuple(b)
+        assert a.keys() == b.keys() and a.tags() == b.tags()
+        assert repr(a) == repr(b)
+    assert fresh.tags() == list(range(len(keys)))
+
+
+def test_sequences_differing_only_in_tags_are_unequal():
+    assert Sequence.from_keys([1, 1]) != Sequence([(1, 1), (1, 0)])
+    assert Sequence([(1, 1), (1, 0)]) != Sequence.from_keys([1, 1])
+    assert Sequence.from_keys([1, 1]) != Sequence.from_keys([1])
+
+
+def test_sequence_keeps_its_items_and_hands_out_copies():
+    keys = [3, 1, 2]
+    s = Sequence.from_keys(keys)
+    assert s.items is s.items
+    keys[0] = 99
+    s.keys()[1] = 99
+    s.tags().append(3)
+    assert s.keys() == [3, 1, 2] and s.tags() == [0, 1, 2]
 
 
 # -- text format --------------------------------------------------------------

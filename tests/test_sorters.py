@@ -537,7 +537,24 @@ def test_nothing_moves_exactly_when_the_input_is_sorted():
             out = sort(s, Meter())
             assert (out.moves == 0) == (keys == sorted(keys)), (trial, keys)
             if out.moves == 0:
-                assert out.output.items is s.items
+                assert out.output is s
+
+
+def test_sorters_keep_tags_that_are_not_positions():
+    """Routing gathers a slice's own tags; only fresh input's tags are its
+    positions.  These rise, as a slice's do, so the oracle applies."""
+    rng = random.Random(15)
+    keys = [rng.randrange(40) for _ in range(300)]
+    tags = sorted(rng.sample(range(10**6), len(keys)))
+    s = Sequence(zip(keys, tags))
+    want = sorted(s.items, key=lambda it: it[0])
+    sorts = [lambda s, m, kind=kind: partition_sort(s, PivotStrategy(kind, 3), m) for kind in PIVOT_KINDS]
+    sorts += [insertion_sort, natural_merge_sort, lambda s, m: blocked_sort(s, len(keys), m)]
+    for sort in sorts:
+        out = sort(s, Meter()).output
+        assert list(out) == want and verify_sorted_stable_permutation(s, out)
+    parts = stable_three_way_partition(s, keys[0], Meter())
+    assert [list(p) for p in parts] == [[it for it in s if op(it[0], keys[0])] for op in (int.__lt__, int.__eq__, int.__gt__)]
 
 
 def test_psort_depth_bound():
