@@ -17,7 +17,6 @@ from .census import (
 from .core import (
     KEY_MAX,
     KEY_MIN,
-    Item,
     Meter,
     Sequence,
     SequenceFormatError,

@@ -26,14 +26,14 @@ from itertools import permutations
 
 from .core import Meter
 from .measures import _check_sizes
-from .sorters import PivotStrategy, _charge_psort
+from .sorters import SMALL_SEGMENT, PivotStrategy, _charge_psort
 
 # Counting a census sums 3^(n-1) signed multinomials (19683 at n = 10).
 MAX_CENSUS_N = 10
 
 # Worst-case sweeps charge all n! permutations, so they cut off earlier than
 # the counted census; at n <= SMALL_SEGMENT no pivot kind ever selects.
-MAX_WORST_CASE_N = 8
+MAX_WORST_CASE_N = SMALL_SEGMENT
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,10 @@ def census_worst_cases(n: int, strategy: PivotStrategy) -> dict[tuple[int, ...],
     """Max partition_sort comparisons over each realizable type, in one sweep.
 
     partition_sort's key recursion (all it charges) runs on every
-    permutation of 1..n, with no items built.  The seed is reused for each
-    member, so randomized pivots act as one fixed deterministic procedure
-    across every class and the information bound ceil(log2 nu) applies to each.
+    permutation of 1..n, with no items built.  At n <= MAX_WORST_CASE_N no
+    segment selects a pivot and no Random is built, so every pivot kind is
+    one fixed deterministic procedure across every class and the
+    information bound ceil(log2 nu) applies to each.
     """
     if not 1 <= n <= MAX_WORST_CASE_N:
         raise ValueError(f"worst-case sweeps support 1 <= n <= {MAX_WORST_CASE_N}, got {n}")

@@ -3,8 +3,8 @@
 Every algorithm in this package works on sequences of items, each a
 (key, tag) pair of ints.  The key is what gets compared; the tag remembers
 where the item started, so stability can be checked after the fact instead
-of trusted.  A Sequence holds a key list and a tag column, and this module
-alone decides their layout: no other builds or reads per-item pairs.
+of trusted.  A Sequence is a key list and a tag column, and this module
+alone decides their layout: others read them through its methods only.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ import io
 import os
 import re
 from itertools import compress, islice
-from operator import eq, ge, gt, itemgetter
-from typing import Iterable, Iterator, Optional, Union
+from operator import eq, ge, gt
+from typing import Iterable, Optional, Union
 
 KEY_MIN = -(2**63)
 KEY_MAX = 2**63 - 1
-
-# An item: a 64-bit signed key and its original position.
-Item = tuple[int, int]
 
 
 class Sequence:
@@ -29,35 +26,24 @@ class Sequence:
     For a freshly loaded or generated input the tags are exactly the
     positions 0..n-1, as range(n).  Slices produced mid-algorithm (partition
     pieces and the like) keep their original tags, which is the whole point.
-    items, the pairs, is built on first request and kept.
+    Sequence(keys, tags) takes both columns over uncopied; from_keys copies.
     """
 
-    __slots__ = ("_keys", "_tags", "_items")
+    __slots__ = ("_keys", "_tags")
 
-    def __init__(self, items: Iterable[Item]):
-        items = tuple(items)
-        self._keys, self._tags, self._items = list(map(itemgetter(0), items)), list(map(itemgetter(1), items)), None
-
-    @classmethod
-    def _of(cls, keys: list[int], tags: Iterable[int]) -> "Sequence":
-        s = cls.__new__(cls)  # both columns taken over, uncopied
-        s._keys, s._tags, s._items = keys, tags, None
-        return s
+    def __init__(self, keys: list[int], tags: Union[list[int], range]):
+        if len(keys) != len(tags):
+            raise ValueError(f"{len(keys)} keys but {len(tags)} tags")
+        self._keys, self._tags = keys, tags
 
     @classmethod
     def from_keys(cls, keys: Iterable[int]) -> "Sequence":
         # keys must be ints; they are kept as given, tagged by position.
-        return cls._of(keys := list(keys), range(len(keys)))
+        return cls(keys := list(keys), range(len(keys)))
 
     @property
     def n(self) -> int:
         return len(self._keys)
-
-    @property
-    def items(self) -> tuple[Item, ...]:
-        if self._items is None:
-            self._items = tuple(zip(self._keys, self._tags))
-        return self._items
 
     def keys(self) -> list[int]:
         return list(self._keys)
@@ -65,7 +51,7 @@ class Sequence:
     def tags(self) -> list[int]:
         return list(self._tags)
 
-    def columns(self) -> tuple[list[int], Iterable[int]]:
+    def columns(self) -> tuple[list[int], Union[list[int], range]]:
         """The key list and tag column themselves, not copies: read only."""
         return self._keys, self._tags
 
@@ -76,10 +62,7 @@ class Sequence:
     def take(self, order: list[int]) -> "Sequence":
         """The items at the positions in order; fresh tags are the positions, so order becomes the tags."""
         tags = order if type(self._tags) is range else list(map(self._tags.__getitem__, order))
-        return Sequence._of(list(map(self._keys.__getitem__, order)), tags)
-
-    def __iter__(self) -> Iterator[Item]:
-        return zip(self._keys, self._tags)
+        return Sequence(list(map(self._keys.__getitem__, order)), tags)
 
     def __eq__(self, other) -> bool:
         # Tags element by element: range(2) == [0, 1] is False.
@@ -230,7 +213,7 @@ def load_sequence(source: Union[str, os.PathLike, io.TextIOBase]) -> Sequence:
         keys = _parse_bulk(data)
         if keys is not None:
             del data  # free the file's bytes before the sequence is used
-            return Sequence._of(keys, range(len(keys)))
+            return Sequence(keys, range(len(keys)))
         source = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
     try:
         return Sequence.from_keys(_parse_lines(source))

@@ -34,10 +34,6 @@ class Decomposition:
     blocks: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
 
-    @property
-    def block_count(self) -> int:
-        return len(self.sizes)
-
     def size_multiset(self) -> tuple[int, ...]:
         """Canonical form: block sizes as a non-increasing tuple."""
         return tuple(sorted(self.sizes, reverse=True))

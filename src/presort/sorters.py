@@ -31,7 +31,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import gt
-from typing import Optional
 
 from .core import Meter, Sequence
 
@@ -106,31 +105,6 @@ def stable_three_way_partition(s: Sequence, pivot_key: int, m: Meter):
     m.comparisons += 2 * len(keys) - len(lo)
     m.moves += len(keys)
     return s.take(lo), s.take(eq), s.take(hi)
-
-
-def _split3_keys(keys: list[int], u: int, v: int, m: Meter):
-    """Split keys into (< u, [u..v], > v), keeping order; u <= v.
-
-    One test settles "below u", a second separates "above v" from the
-    middle.  Floyd-Rivest splits around its bracket (u, v) with it.
-    """
-    lo: list[int] = []
-    mid: list[int] = []
-    hi: list[int] = []
-    c = 0
-    push_lo, push_mid, push_hi = lo.append, mid.append, hi.append
-    for k in keys:
-        if k < u:
-            c += 1
-            push_lo(k)
-        elif k > v:
-            c += 2
-            push_hi(k)
-        else:
-            c += 2
-            push_mid(k)
-    m.comparisons += c
-    return lo, mid, hi
 
 
 def _insertion_sort_keys(keys: list[int], m: Meter) -> None:
@@ -316,9 +290,9 @@ def _select_kth_key(keys: list[int], k: int, m: Meter) -> int:
     keys on either side.  Both recursions shrink (n/3 + n/2, under 7n/8
     exactly; n/5 + 7n/10), so the work is linear.  Keys above the median
     pivot are taken in a second pass only when those below miss the
-    target, charged as testing just the keys not below (_split3_keys's
-    schedule).  Only a list of at most 5 keys is sorted in place; a longer
-    one is never reordered, as _SELECTORS requires.
+    target, charged as testing just the keys not below, as the per-key
+    three-way loop would.  Only a list of at most 5 keys is sorted in
+    place; a longer one is never reordered, as _SELECTORS requires.
     """
     while True:
         n = len(keys)
@@ -414,22 +388,27 @@ def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
         iu = max(0, int(t) - margin)
         iv = min(size - 1, int(t) + margin)
         u, v = sample[iu], sample[iv]
-        lo, mid, hi = _split3_keys(keys, u, v, m)
+        # Charged as the per-key loop: one test settles "below u", a second
+        # separates "above v" from the bracket.  Later parts are built only
+        # when the target is not in the earlier ones.
+        lo = [x for x in keys if x < u]
+        m.comparisons += 2 * n - len(lo)
         if k <= len(lo):
             keys = lo
             misses += 1
-        elif k <= len(lo) + len(mid):
-            k -= len(lo)
-            if u == v:
-                return u, misses
-            if len(mid) == n:
-                # Bracket failed to shrink anything (massive duplication).
-                return _select_kth_key(mid, k, m), misses
-            keys = mid
-        else:
-            k -= len(lo) + len(mid)
-            keys = hi
+            continue
+        k -= len(lo)
+        mid = [x for x in keys if u <= x <= v]
+        if k > len(mid):
+            keys, k = [x for x in keys if x > v], k - len(mid)
             misses += 1
+        elif u == v:
+            return u, misses
+        elif len(mid) == n:
+            # Bracket failed to shrink anything (massive duplication).
+            return _select_kth_key(mid, k, m), misses
+        else:
+            keys = mid
 
 
 # Each pivot kind's selector: (keys, rng, m) -> (pivot key, retries) on a
@@ -464,21 +443,19 @@ def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int,
 # sorters
 
 
-def insertion_sort(s: Sequence, m: Optional[Meter] = None) -> SortOutcome:
+def insertion_sort(s: Sequence, m: Meter) -> SortOutcome:
     """Stable insertion sort; cheap when nothing has far to travel."""
-    m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
     _insertion_keys(s.keys(), m)
     return _outcome(s, m, c0, v0)
 
 
-def natural_merge_sort(s: Sequence, m: Optional[Meter] = None) -> SortOutcome:
+def natural_merge_sort(s: Sequence, m: Meter) -> SortOutcome:
     """Detect the existing non-decreasing runs, then merge them pairwise.
 
     Run detection costs n-1 comparisons; each merge round costs at most n,
     and there are ceil(log2 R) rounds for R initial runs.
     """
-    m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
     if s.n:
         _natural_merge_keys(s.keys(), m)
@@ -517,7 +494,7 @@ def _charge_psort(keys: list[int], strategy: PivotStrategy, m: Meter) -> tuple[i
     return _psort(keys, select, rng, m, 1)
 
 
-def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = None) -> SortOutcome:
+def partition_sort(s: Sequence, strategy: PivotStrategy, m: Meter) -> SortOutcome:
     """Stable adaptive partition sort.
 
     Every level, top call included, starts with the is-sorted scan and
@@ -532,7 +509,6 @@ def partition_sort(s: Sequence, strategy: PivotStrategy, m: Optional[Meter] = No
     finding and verifying pivots are charged like any others.  The
     recursion runs on keys (_charge_psort); _outcome routes the items once.
     """
-    m = m if m is not None else Meter()
     c0, v0 = m.comparisons, m.moves
     return _outcome(s, m, c0, v0, *_charge_psort(s.columns()[0], strategy, m))
 
@@ -543,7 +519,7 @@ def _check_window(k: int, n: int) -> None:
         raise ValueError(f"window parameter k={k} out of range for n={n}")
 
 
-def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
+def blocked_sort(s: Sequence, k: int, m: Meter) -> SortOutcome:
     """Two passes of window sorts for displacement-bounded inputs.
 
     Pass one mergesorts the windows [0, 2k), [2k, 4k), ...; pass two the
@@ -553,7 +529,6 @@ def blocked_sort(s: Sequence, k: int, m: Optional[Meter] = None) -> SortOutcome:
     afterwards (uncharged) and the outcome reports is_sorted rather than
     guessing from the precondition.
     """
-    m = m if m is not None else Meter()
     n = s.n
     _check_window(k, n)
     c0, v0 = m.comparisons, m.moves

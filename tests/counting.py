@@ -2,10 +2,14 @@
 
 A kernel's Meter charge is checked against CountingKey.tests: the number
 of <, <=, > and >= tests the kernel really made.  == is not counted, since
-kernels use it only for uncharged checks such as u == v.
+kernels use it only for uncharged checks such as u == v.  The per-item
+references work on (key, tag) items, which items_of and sequence_of
+convert to and from a Sequence's two columns.
 """
 
 from itertools import count
+
+from presort.core import Sequence
 
 
 class CountingKey(int):
@@ -42,6 +46,16 @@ def counting_keys(keys) -> list:
 def counting_items(keys) -> list:
     """(key, tag) items with counting keys, tagged by position."""
     return list(zip(counting_keys(keys), count()))
+
+
+def items_of(seq) -> list:
+    """The (key, tag) items of seq, in order."""
+    return list(zip(*seq.columns()))
+
+
+def sequence_of(items) -> Sequence:
+    """The Sequence of (key, tag) items, with list columns."""
+    return Sequence([key for key, _ in items], [tag for _, tag in items])
 
 
 def executed(fn, *args):

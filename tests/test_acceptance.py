@@ -45,6 +45,8 @@ from presort.sorters import (
     partition_sort,
 )
 
+from counting import items_of, sequence_of
+
 # Profiles computed by criteria 1..6; criterion 7 checks the entropy
 # sandwich on every one of them.
 PROFILES = []
@@ -68,7 +70,7 @@ def gate(capsys, num):
 
 
 def ref_sort(seq):
-    return Sequence(sorted(seq.items, key=lambda it: it[0]))
+    return sequence_of(sorted(items_of(seq), key=lambda it: it[0]))
 
 
 @pytest.fixture(scope="session")
@@ -115,7 +117,7 @@ def test_criterion_1_correctness_oracle(capsys):
             for strategy in strategies:
                 out = partition_sort(seq, strategy, Meter())
                 assert verify_sorted_stable_permutation(seq, out.output)
-                assert out.output.items == reference.items  # bit-for-bit
+                assert out.output == reference  # bit-for-bit
             for alg in (insertion_sort, natural_merge_sort):
                 out = alg(seq, Meter())
                 assert verify_sorted_stable_permutation(seq, out.output)
@@ -259,7 +261,7 @@ def test_criterion_6_multiset_budget(capsys, calibration):
             out = partition_sort(seq, MEDIAN, Meter())
             assert out.comparisons <= budget, (h, out.comparisons, budget)
             assert verify_sorted_stable_permutation(seq, out.output)
-            assert out.output.items == ref_sort(seq).items  # stability, tagged duplicates
+            assert out.output == ref_sort(seq)  # stability, tagged duplicates
             ratios[h] = out.comparisons / (n * math.log2(h + 1) + n)
         elapsed = time.perf_counter() - t0
         g["note"] = ("exact-median cmp <= c1*(n log2(h+1)+n) at n=10^5, ratios " +
@@ -270,7 +272,8 @@ def test_criterion_6_multiset_budget(capsys, calibration):
 def check_decomposition_maximality(seq, d):
     """Independent oracle: the defining properties pin the decomposition."""
     n = seq.n
-    by_rank = sorted(range(n), key=lambda p: (seq.items[p][0], seq.items[p][1]))
+    keys, tags = seq.columns()
+    by_rank = sorted(range(n), key=lambda p: (keys[p], tags[p]))
     rank_of = {p: r for r, p in enumerate(by_rank)}
     assert sorted(p for blk in d.blocks for p in blk) == list(range(n))
     next_rank = 0

@@ -452,6 +452,8 @@ def test_bench_usage_errors(tmp_path, capsys):
         ["--families", "sorted", "--algos", "blocked", "--k", "9"],  # window past n
         ["--families", "sorted", "--sizes", "8,-1", "--algos", "insertion"],
         ["--families", "sorted-type", "--algos", "insertion", "--blocks", "3"],
+        ["--families", "displacement", "--algos", "insertion"],  # no --k
+        ["--families", "sorted-type", "--algos", "insertion"],  # no --type or --blocks
     ],
 )
 def test_bench_usage_error_leaves_out_unchanged(tmp_path, capsys, extra):

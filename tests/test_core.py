@@ -30,7 +30,7 @@ from vectors import SWAPPED_PAIRS16
 
 def test_sequence_from_keys_assigns_tags_in_order():
     s = Sequence.from_keys([9, 3, 9])
-    assert s.items == ((9, 0), (3, 1), (9, 2))
+    assert s == Sequence([9, 3, 9], [0, 1, 2])
     assert s.n == 3
     assert s.keys() == [9, 3, 9]
     assert s.tags() == [0, 1, 2]
@@ -86,14 +86,14 @@ def test_first_descent_trace_matches_fast_path(keys):
 
 
 def test_verify_accepts_stable_sort():
-    inp = Sequence([(2, 0), (1, 1), (2, 2)])
-    out = Sequence([(1, 1), (2, 0), (2, 2)])
+    inp = Sequence([2, 1, 2], [0, 1, 2])
+    out = Sequence([1, 2, 2], [1, 0, 2])
     assert verify_sorted_stable_permutation(inp, out)
 
 
 def test_verify_rejects_equal_keys_out_of_tag_order():
-    inp = Sequence([(2, 0), (1, 1), (2, 2)])
-    out = Sequence([(1, 1), (2, 2), (2, 0)])
+    inp = Sequence([2, 1, 2], [0, 1, 2])
+    out = Sequence([1, 2, 2], [1, 2, 0])
     assert not verify_sorted_stable_permutation(inp, out)
 
 
@@ -106,7 +106,7 @@ def test_verify_rejects_length_and_multiset_mismatch():
     a = Sequence.from_keys([1, 2])
     assert not verify_sorted_stable_permutation(a, Sequence.from_keys([1]))
     # same keys but tags are not the input's tags
-    forged = Sequence([(1, 1), (2, 0)])
+    forged = Sequence([1, 2], [1, 0])
     assert not verify_sorted_stable_permutation(a, forged)
     assert not verify_sorted_stable_permutation(a, Sequence.from_keys([1, 3]))
 
@@ -115,7 +115,7 @@ def test_verify_rejects_unsorted_output():
     a = Sequence.from_keys([2, 1])
     assert not verify_sorted_stable_permutation(a, a)
     # Same tuple, so the same multiset, yet equal keys with falling tags.
-    a = Sequence([(1, 1), (1, 0)])
+    a = Sequence([1, 1], [1, 0])
     assert not verify_sorted_stable_permutation(a, a)
 
 
@@ -127,32 +127,33 @@ def test_verify_accepts_a_sorted_input_returned_as_it_came():
 
 
 # Stable sorts of the input keys [2, 1, 2], forged: each must read False.
+# Each is a (keys, tags) pair of columns.
 FORGED_OUTPUTS = {
-    "duplicate tag": [(1, 1), (2, 0), (2, 0)],
-    "negative tag": [(1, 1), (2, -3), (2, 2)],  # -3 indexes the key 2 at tag 0
-    "tag past the end": [(1, 1), (2, 0), (2, 3)],
-    "key not its tag's": [(1, 0), (2, 1), (2, 2)],
-    "equal keys, falling tags": [(1, 1), (2, 2), (2, 0)],
-    "one item short": [(1, 1), (2, 0)],
-    "one item long": [(1, 1), (2, 0), (2, 2), (2, 3)],
+    "duplicate tag": ([1, 2, 2], [1, 0, 0]),
+    "negative tag": ([1, 2, 2], [1, -3, 2]),  # -3 indexes the key 2 at tag 0
+    "tag past the end": ([1, 2, 2], [1, 0, 3]),
+    "key not its tag's": ([1, 2, 2], [0, 1, 2]),
+    "equal keys, falling tags": ([1, 2, 2], [1, 2, 0]),
+    "one item short": ([1, 2], [1, 0]),
+    "one item long": ([1, 2, 2, 2], [1, 0, 2, 3]),
 }
-STABLE_OUTPUT = [(1, 1), (2, 0), (2, 2)]
+STABLE_OUTPUT = ([1, 2, 2], [1, 0, 2])
 
 
 @pytest.mark.parametrize("fresh", [True, False], ids=["range tags", "list tags"])
 @pytest.mark.parametrize("name", FORGED_OUTPUTS)
 def test_verify_rejects_forged_outputs(name, fresh):
-    inp = Sequence.from_keys([2, 1, 2]) if fresh else Sequence([(2, 0), (1, 1), (2, 2)])
-    assert verify_sorted_stable_permutation(inp, Sequence(STABLE_OUTPUT))
-    assert verify_sorted_stable_permutation(inp, Sequence(FORGED_OUTPUTS[name])) is False
+    inp = Sequence.from_keys([2, 1, 2]) if fresh else Sequence([2, 1, 2], [0, 1, 2])
+    assert verify_sorted_stable_permutation(inp, Sequence(*STABLE_OUTPUT))
+    assert verify_sorted_stable_permutation(inp, Sequence(*FORGED_OUTPUTS[name])) is False
 
 
 def test_verify_checks_tags_that_are_not_positions():
-    inp = Sequence([(2, 7), (1, 3), (2, 9)])
-    assert verify_sorted_stable_permutation(inp, Sequence([(1, 3), (2, 7), (2, 9)]))
-    assert not verify_sorted_stable_permutation(inp, Sequence([(1, 3), (2, 7), (2, 8)]))
-    assert not verify_sorted_stable_permutation(inp, Sequence([(1, 3), (2, 7), (2, 7)]))
-    assert not verify_sorted_stable_permutation(inp, Sequence([(1, 1), (2, 0), (2, 2)]))
+    inp = Sequence([2, 1, 2], [7, 3, 9])
+    assert verify_sorted_stable_permutation(inp, Sequence([1, 2, 2], [3, 7, 9]))
+    assert not verify_sorted_stable_permutation(inp, Sequence([1, 2, 2], [3, 7, 8]))
+    assert not verify_sorted_stable_permutation(inp, Sequence([1, 2, 2], [3, 7, 7]))
+    assert not verify_sorted_stable_permutation(inp, Sequence([1, 2, 2], [1, 0, 2]))
 
 
 def test_verify_rejects_fresh_tags_on_moved_keys():
@@ -181,30 +182,42 @@ def test_sorted_input_allocates_no_pairs():
 
 @pytest.mark.parametrize("keys", [[], [7], [3, 1, 3, 2], list(range(20, 0, -1)), [5] * 14])
 def test_pair_and_column_sequences_agree(keys):
-    """Sequence(pairs) stores list tags, from_keys range(n), and a sorter's
-    output the routed positions; each reads the same as the pairs."""
+    """A pair of list columns, from_keys's range(n) tags, and a sorter's
+    routed positions read the same wherever their items agree."""
     fresh = Sequence.from_keys(keys)
-    pairs = Sequence(zip(keys, range(len(keys))))
+    listed = Sequence(list(keys), list(range(len(keys))))
     out = partition_sort(fresh, PivotStrategy("median"), Meter()).output
-    ref = Sequence(sorted(pairs.items, key=lambda it: it[0]))
-    for a, b in ((fresh, pairs), (pairs, fresh), (out, ref), (ref, out)):
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ref = Sequence([keys[p] for p in order], order)
+    for a, b in ((fresh, listed), (listed, fresh), (out, ref), (ref, out)):
         assert a == b
-        assert a.items == b.items == tuple(b)
         assert a.keys() == b.keys() and a.tags() == b.tags()
         assert repr(a) == repr(b)
     assert fresh.tags() == list(range(len(keys)))
 
 
+def test_sequence_columns_must_have_one_length():
+    with pytest.raises(ValueError, match="2 keys but 3 tags"):
+        Sequence([1, 2], [0, 1, 2])
+    with pytest.raises(ValueError, match="1 keys but 0 tags"):
+        Sequence([1], range(0))
+
+
+def test_sequence_takes_its_columns_over_uncopied():
+    keys, tags = [2, 1], [5, 4]
+    got_keys, got_tags = Sequence(keys, tags).columns()
+    assert got_keys is keys and got_tags is tags
+
+
 def test_sequences_differing_only_in_tags_are_unequal():
-    assert Sequence.from_keys([1, 1]) != Sequence([(1, 1), (1, 0)])
-    assert Sequence([(1, 1), (1, 0)]) != Sequence.from_keys([1, 1])
+    assert Sequence.from_keys([1, 1]) != Sequence([1, 1], [1, 0])
+    assert Sequence([1, 1], [1, 0]) != Sequence.from_keys([1, 1])
     assert Sequence.from_keys([1, 1]) != Sequence.from_keys([1])
 
 
 def test_sequence_keeps_its_items_and_hands_out_copies():
     keys = [3, 1, 2]
     s = Sequence.from_keys(keys)
-    assert s.items is s.items
     keys[0] = 99
     s.keys()[1] = 99
     s.tags().append(3)
@@ -241,6 +254,17 @@ def test_load_rejects_out_of_range_keys():
         load_sequence(io.StringIO(f"{KEY_MAX + 1}\n"))
     with pytest.raises(SequenceFormatError):
         load_sequence(io.StringIO(f"{KEY_MIN - 1}\n"))
+
+
+@pytest.mark.parametrize("key", [KEY_MAX + 1, KEY_MIN - 1])
+def test_load_path_rejects_out_of_range_keys(tmp_path, key):
+    """A path goes through the bulk parser, whose range check declines the
+    file so that the line parser words the error."""
+    p = tmp_path / "in.txt"
+    p.write_text(f"# header\n1\n{key}\n2\n")
+    assert core._parse_bulk(p.read_bytes()) is None
+    with pytest.raises(SequenceFormatError, match=f"^line 3: key {key} outside 64-bit signed range$"):
+        load_sequence(p)
 
 
 def test_load_rejects_non_ascii_bytes(tmp_path):

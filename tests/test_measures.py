@@ -16,6 +16,7 @@ from presort.measures import (
     profile,
 )
 
+from counting import items_of, sequence_of
 from vectors import (
     BLOCKS16,
     BLOCKS16_BLOCK_KEYS,
@@ -44,7 +45,8 @@ def check_decomposition_properties(seq, d):
     decomposition uniquely, so they double as an independent oracle.
     """
     n = seq.n
-    by_rank = sorted(range(n), key=lambda p: (seq.items[p][0], seq.items[p][1]))
+    keys, tags = seq.columns()
+    by_rank = sorted(range(n), key=lambda p: (keys[p], tags[p]))
     rank_of = {p: r for r, p in enumerate(by_rank)}
     assert sorted(p for blk in d.blocks for p in blk) == list(range(n))
     next_rank = 0
@@ -65,8 +67,8 @@ def test_decompose_block_vector():
     seq = Sequence.from_keys(BLOCKS16)
     d = decompose_maximal(seq)
     assert d.size_multiset() == BLOCKS16_MULTISET
-    assert d.block_count == 8
-    assert [[seq.items[p][0] for p in blk] for blk in d.blocks] == BLOCKS16_BLOCK_KEYS
+    assert len(d.sizes) == 8
+    assert [[BLOCKS16[p] for p in blk] for blk in d.blocks] == BLOCKS16_BLOCK_KEYS
     check_decomposition_properties(seq, d)
 
 
@@ -169,8 +171,8 @@ def test_max_displacement_examples():
 @given(st.lists(st.integers(-20, 20), max_size=60))
 def test_max_displacement_oracle(keys):
     seq = Sequence.from_keys(keys)
-    ranked = sorted(seq.items)
-    want = max((abs(ranked.index(it) - pos) for pos, it in enumerate(seq.items)), default=0)
+    ranked = sorted(items_of(seq))
+    want = max((abs(ranked.index(it) - pos) for pos, it in enumerate(items_of(seq))), default=0)
     assert max_displacement(seq) == want
 
 
@@ -282,7 +284,7 @@ def _profile_input(draw):
     items = sorted(zip(keys, range(len(keys))))
     if shape == "falling tags":
         items.sort(key=lambda item: (item[0], -item[1]))
-    return Sequence(items)
+    return sequence_of(items)
 
 
 @given(_profile_input())
@@ -294,7 +296,7 @@ def test_profile_fields_match_each_measure(s):
 
 
 def test_profile_sorted_keys_with_falling_tags_are_not_in_order():
-    p = profile(Sequence([(1, 1), (1, 0)]))
+    p = profile(Sequence([1, 1], [1, 0]))
     assert p.sizes == (1, 1)
     assert p.displacement == 1
     assert (p.inversions, p.runs) == (0, 1)

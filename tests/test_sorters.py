@@ -22,7 +22,6 @@ from presort.sorters import (
     _insertion_sort_keys,
     _merge_sort_keys,
     _select_kth_key,
-    _split3_keys,
     blocked_sort,
     exact_median,
     insertion_sort,
@@ -34,24 +33,26 @@ from presort.sorters import (
     stable_three_way_partition,
 )
 
-from counting import CountingKey, counting_items, counting_keys, executed
-from vectors import BLOCKS16, SORTED16, SWAPPED_PAIRS16
+from counting import CountingKey, counting_items, counting_keys, executed, items_of, sequence_of
+from vectors import BLOCKS16, MEDIAN_CLIMB100, SORTED16, SWAPPED_PAIRS16
 
 STRATEGIES = [PivotStrategy("median"), PivotStrategy("randmid", 3), PivotStrategy("fr", 3)]
 
-# Empirical ceiling for _select_kth_key at the median, both ends and the
-# tenth ranks from either end: comparisons <= factor * n (plus a small
-# additive term for tiny inputs).  Worst observed across
-# sorted/reverse/random/organ-pipe/duplicate-heavy inputs up to n = 2**16
-# is 7.8 comparisons per element from n = 100 up (rank ceil(n/10), reverse
-# order; 6.3 at the median) and 9.5 at n = 17 (rank 15, reverse order);
-# 11 leaves headroom.
+# An empirical regression guard for _select_kth_key, not a bound: on the
+# fixed batteries of test_exact_median_linear_comparison_envelope (the
+# median, both ends and the tenth ranks from either end), comparisons stay
+# <= factor * n + 8.  Worst observed across sorted/reverse/random/
+# organ-pipe/duplicate-heavy inputs up to n = 2**16 is 7.8 comparisons per
+# element from n = 100 up (rank ceil(n/10), reverse order; 6.3 at the
+# median) and 9.5 at n = 17 (rank 15, reverse order).  A hill climb found
+# inputs above it (MEDIAN_CLIMB100: 1231 > 11 * 100 + 8); the proven
+# ceiling is select_charge_bound.
 MEDIAN_SELECT_FACTOR = 11
 
 
 def ref_sort(seq):
     """Reference stable sort by key only."""
-    return Sequence(sorted(seq.items, key=lambda it: it[0]))
+    return sequence_of(sorted(items_of(seq), key=lambda it: it[0]))
 
 
 def rank_key(keys, rank):
@@ -262,11 +263,11 @@ def test_partition_property(keys, pivot):
     s = Sequence.from_keys(keys)
     m = Meter()
     less, equal, greater = stable_three_way_partition(s, pivot, m)
-    assert all(key < pivot for key, _ in less)
-    assert all(key == pivot for key, _ in equal)
-    assert all(key > pivot for key, _ in greater)
-    rebuilt = list(less) + list(equal) + list(greater)
-    assert sorted(rebuilt) == sorted(s.items)
+    assert all(key < pivot for key in less.keys())
+    assert all(key == pivot for key in equal.keys())
+    assert all(key > pivot for key in greater.keys())
+    rebuilt = items_of(less) + items_of(equal) + items_of(greater)
+    assert sorted(rebuilt) == sorted(items_of(s))
     for part in (less, equal, greater):
         assert list(part.tags()) == sorted(part.tags())
     assert m.comparisons <= 2 * len(keys)
@@ -294,8 +295,55 @@ def test_exact_median_matches_rank_oracle(keys):
     assert got == rank_key(keys, (n + 1) // 2)
 
 
+def select_charge_bound(n_max):
+    """U[n] for n <= n_max: a proven ceiling on what _select_kth_key charges
+    at any rank of any n keys, from the recurrences of its branches.
+
+    n <= 5: insertion sort, n(n-1)/2.  Near an end (6r <= n, size = n // 2r):
+    2r(size-1) + n tests, the pivot among 2r group extremes, then at most
+    n - (r+1)*size keys on the target's side.  Otherwise at most 10 tests per
+    group of 5 and t(t-1)/2 for a tail of t, the pivot among m = ceil(n/5)
+    medians, at most 2n in the split, then at most n - 3*floor(m/2) - 1 keys
+    below it or n - 3*ceil(m/2) + 2 above.  A subproblem's size is only
+    bounded above, so U[n] is also at least U[n - 1].
+    """
+    U = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        if n <= 5:
+            U[n] = n * (n - 1) // 2
+            continue
+        m, t = -(-n // 5), n % 5
+        side = max(n - 3 * (m // 2) - 1, n - 3 * -(-m // 2) + 2)
+        best = 10 * (n // 5) + t * (t - 1) // 2 + U[m] + 2 * n + U[side]
+        for r in range(1, n // 6 + 1):
+            size = n // (2 * r)
+            best = max(best, 2 * r * (size - 1) + n + U[2 * r] + U[n - (r + 1) * size])
+        U[n] = max(best, U[n - 1])
+    return U
+
+
+SELECT_CHARGE_BOUND = select_charge_bound(4096)
+
+
+def test_select_charge_bound_holds_on_every_small_input():
+    """Every rank of every permutation and every 3-letter word up to 7 keys."""
+    for n in range(1, 8):
+        inputs = [*itertools.permutations(range(n)), *itertools.product(range(3), repeat=n)]
+        worst = 0
+        for keys in inputs:
+            for k in range(1, n + 1):
+                m = Meter()
+                _select_kth_key(list(keys), k, m)
+                worst = max(worst, m.comparisons)
+        assert worst <= SELECT_CHARGE_BOUND[n], (n, worst)
+    assert SELECT_CHARGE_BOUND[100] == 2288
+    assert max(u / n for n, u in enumerate(SELECT_CHARGE_BOUND) if n >= 50) < 31
+
+
 def test_exact_median_linear_comparison_envelope():
-    """The median, both ends and the tenth ranks from either end."""
+    """The median, both ends and the tenth ranks from either end stay under
+    the empirical guard, and every rank under the proven ceiling (every
+    37th rank at n = 4096, where all of them would take half a minute)."""
     rng = random.Random(99)
     for n in (5, 17, 100, 1000, 4096):
         batteries = {
@@ -305,14 +353,31 @@ def test_exact_median_linear_comparison_envelope():
             "dups": [i % 7 for i in range(n)],
         }
         tenth = -(-n // 10)
+        guarded = (1, n, tenth, n - tenth)
+        ranks = sorted({*range(1, n + 1, 37 if n > 1000 else 1), *guarded})
         for name, keys in batteries.items():
             m = Meter()
             select_exact_median(Sequence.from_keys(keys), m)
             assert m.comparisons <= MEDIAN_SELECT_FACTOR * n + 8, (name, n, m.comparisons)
-            for k in (1, n, tenth, n - tenth):
+            for k in ranks:
                 m = Meter()
                 _select_kth_key(list(keys), k, m)
-                assert m.comparisons <= MEDIAN_SELECT_FACTOR * n + 8, (name, n, k, m.comparisons)
+                assert m.comparisons <= SELECT_CHARGE_BOUND[n], (name, n, k, m.comparisons)
+                if k in guarded:
+                    assert m.comparisons <= MEDIAN_SELECT_FACTOR * n + 8, (name, n, k, m.comparisons)
+
+
+def test_select_climb_vector_stays_under_proven_ceiling():
+    """The hill climb's input breaks the empirical guard but, at every rank,
+    not the proven ceiling."""
+    n = len(MEDIAN_CLIMB100)
+    m = Meter()
+    select_exact_median(Sequence.from_keys(MEDIAN_CLIMB100), m)
+    assert m.comparisons <= SELECT_CHARGE_BOUND[n]
+    for k in range(1, n + 1):
+        m = Meter()
+        _select_kth_key(list(MEDIAN_CLIMB100), k, m)
+        assert m.comparisons <= SELECT_CHARGE_BOUND[n], (k, m.comparisons)
 
 
 @given(st.integers(1, 300).flatmap(lambda n: st.lists(st.integers(0, 12), min_size=n, max_size=n)))
@@ -422,7 +487,7 @@ def test_psort_sorts_and_is_stable(strategy):
         s = Sequence.from_keys(keys)
         out = partition_sort(s, strategy, Meter())
         assert verify_sorted_stable_permutation(s, out.output)
-        assert out.output.items == ref_sort(s).items
+        assert out.output == ref_sort(s)
         assert out.is_sorted
 
 
@@ -451,7 +516,7 @@ def test_psort_selects_only_above_the_merge_leaf(monkeypatch):
         n = rng.randint(0, 600)
         s = Sequence.from_keys(rng.choices(range(rng.choice((3, 50, 10_000))), k=n))
         for strategy in STRATEGIES:
-            assert partition_sort(s, strategy, Meter()).output.items == ref_sort(s).items
+            assert partition_sort(s, strategy, Meter()).output == ref_sort(s)
     assert sizes and min(sizes) > MERGE_SEGMENT
 
 
@@ -489,8 +554,8 @@ def test_psort_matches_per_item_reference(keys, order):
         out = partition_sort(s, strategy, Meter())
         ref = Meter()
         select = sorters._SELECTORS[strategy.kind]
-        items, retries, depth = psort_reference(list(s.items), select, random.Random(strategy.seed), ref)
-        assert out.output.items == tuple(items)
+        items, retries, depth = psort_reference(items_of(s), select, random.Random(strategy.seed), ref)
+        assert out.output == sequence_of(items)
         got = (out.comparisons, out.moves, out.pivot_retries, out.max_recursion_depth)
         assert got == (ref.comparisons, ref.moves, retries, depth), strategy
 
@@ -546,15 +611,16 @@ def test_sorters_keep_tags_that_are_not_positions():
     rng = random.Random(15)
     keys = [rng.randrange(40) for _ in range(300)]
     tags = sorted(rng.sample(range(10**6), len(keys)))
-    s = Sequence(zip(keys, tags))
-    want = sorted(s.items, key=lambda it: it[0])
+    s = Sequence(keys, tags)
+    want = sorted(items_of(s), key=lambda it: it[0])
     sorts = [lambda s, m, kind=kind: partition_sort(s, PivotStrategy(kind, 3), m) for kind in PIVOT_KINDS]
     sorts += [insertion_sort, natural_merge_sort, lambda s, m: blocked_sort(s, len(keys), m)]
     for sort in sorts:
         out = sort(s, Meter()).output
-        assert list(out) == want and verify_sorted_stable_permutation(s, out)
+        assert items_of(out) == want and verify_sorted_stable_permutation(s, out)
     parts = stable_three_way_partition(s, keys[0], Meter())
-    assert [list(p) for p in parts] == [[it for it in s if op(it[0], keys[0])] for op in (int.__lt__, int.__eq__, int.__gt__)]
+    ops = (int.__lt__, int.__eq__, int.__gt__)
+    assert [items_of(p) for p in parts] == [[it for it in items_of(s) if op(it[0], keys[0])] for op in ops]
 
 
 def test_psort_depth_bound():
@@ -674,7 +740,7 @@ def test_insertion_inversion_budget(keys):
     n = len(keys)
     assert out.comparisons <= max(n - 1, 0) + inversions(s)
     assert verify_sorted_stable_permutation(s, out.output)
-    assert out.output.items == ref_sort(s).items
+    assert out.output == ref_sort(s)
 
 
 def test_insertion_displacement_budget():
@@ -722,7 +788,7 @@ def test_natmerge_run_budget(keys):
     r = count_runs(s)
     out = natural_merge_sort(s, Meter())
     assert verify_sorted_stable_permutation(s, out.output)
-    assert out.output.items == ref_sort(s).items
+    assert out.output == ref_sort(s)
     if n:
         assert out.comparisons <= n * math.ceil(math.log2(max(r, 1))) + n
 
@@ -819,15 +885,90 @@ def test_counting_key_counts_each_order_test_once():
     assert tests == 4
 
 
-@given(st.lists(st.integers(-9, 9), max_size=60), st.integers(-9, 9), st.integers(0, 4))
-def test_split3_keys_charges_executed_tests(keys, u, width):
-    v = u + width
-    m = Meter()
-    (lo, mid, hi), tests = executed(_split3_keys, counting_keys(keys), u, v, m)
-    assert m.comparisons == tests
-    assert lo == [k for k in keys if k < u]
-    assert mid == [k for k in keys if u <= k <= v]
-    assert hi == [k for k in keys if k > v]
+def split3_reference(keys, u, v):
+    """Per-key split of keys into (< u, [u..v], > v), keeping order: one
+    test settles "below u", a second separates "above v" from the bracket."""
+    lo, mid, hi = [], [], []
+    for x in keys:
+        if x < u:
+            lo.append(x)
+        elif x > v:
+            hi.append(x)
+        else:
+            mid.append(x)
+    return lo, mid, hi
+
+
+def fr_reference(keys, rng, m):
+    """Per-key reference for sorters._fr_pivot: (key, misses, branches taken).
+
+    The same samples, brackets and fallbacks, but every round splits all
+    the keys with split3_reference and charges the tests it executes.
+    """
+    k = (len(keys) + 1) // 2
+    misses, taken = 0, []
+    while True:
+        n = len(keys)
+        if n <= MERGE_SEGMENT:
+            return _merge_sort_keys(keys, m)[0][k - 1], misses, taken
+        size = min(n - 1, max(MERGE_SEGMENT // 2, round(n ** (2.0 / 3.0))))
+        sample = _merge_sort_keys(rng.sample(keys, size), m)[0]
+        t = k * size / n
+        margin = int(math.sqrt(size * math.log(n))) + 1
+        u, v = sample[max(0, int(t) - margin)], sample[min(size - 1, int(t) + margin)]
+        (lo, mid, hi), tests = executed(split3_reference, keys, u, v)
+        m.comparisons += tests
+        if k <= len(lo):
+            keys, misses = lo, misses + 1
+            taken.append("miss-below")
+        elif k > len(lo) + len(mid):
+            keys, k, misses = hi, k - len(lo) - len(mid), misses + 1
+            taken.append("miss-above")
+        elif u == v:
+            taken.append("u-equals-v")
+            return u, misses, taken
+        elif len(mid) == n:
+            taken.append("bracket-holds-all")
+            return _select_kth_key(mid, k - len(lo), m), misses, taken
+        else:
+            keys, k = mid, k - len(lo)
+
+
+FR_SEED = 0
+
+
+def fr_branch_input(branch):
+    """200 keys on which _fr_pivot under random.Random(FR_SEED) takes branch.
+
+    random.sample picks the same positions whatever the keys (see
+    test_fr_sample_draw_matches_index_draw), so putting the top or bottom
+    keys at the seed's first sample positions makes the bracket miss.
+    """
+    n = 200
+    picked = random.Random(FR_SEED).sample(range(n), 34)  # the first round's sample size
+    if branch == "u-equals-v":
+        return [7] * n
+    if branch == "bracket-holds-all":
+        return [i % 2 for i in range(n)]
+    rest = [p for p in range(n) if p not in picked]
+    order = picked + rest if branch == "miss-above" else rest + picked
+    keys = [0] * n
+    for key, p in enumerate(order):
+        keys[p] = key
+    return keys
+
+
+@pytest.mark.parametrize("branch", ["miss-below", "miss-above", "u-equals-v", "bracket-holds-all"])
+def test_fr_pivot_branches_charge_per_key_split(branch):
+    """Each way a Floyd-Rivest round can end returns the rank oracle's key
+    and charges what the per-key split executes."""
+    keys = fr_branch_input(branch)
+    m, ref = Meter(), Meter()
+    got = sorters._fr_pivot(counting_keys(keys), random.Random(FR_SEED), m)
+    want_key, want_misses, taken = fr_reference(counting_keys(keys), random.Random(FR_SEED), ref)
+    assert branch in taken
+    assert got == (want_key, want_misses) and want_key == rank_key(keys, (len(keys) + 1) // 2)
+    assert m.comparisons == ref.comparisons
 
 
 @given(st.lists(st.integers(-9, 9), max_size=60), st.integers(-9, 9))
@@ -835,10 +976,10 @@ def test_partition3_items_charges_executed_tests(keys, pivot):
     """stable_three_way_partition charges what the per-item loop executes."""
     items = counting_items(keys)
     m = Meter()
-    parts = stable_three_way_partition(Sequence(items), pivot, m)
+    parts = stable_three_way_partition(sequence_of(items), pivot, m)
     ref = Meter()
     want, tests = executed(partition3_reference, items, pivot, ref)
-    assert [list(part) for part in parts] == list(want)
+    assert [items_of(part) for part in parts] == list(want)
     assert m.comparisons == ref.comparisons == tests
     assert m.moves == ref.moves == len(keys)
 
@@ -869,11 +1010,11 @@ def test_natural_merge_sort_charges_executed_tests(keys):
     """The merge kernel (natural_merge_sort, partition_sort's merge leaves)
     charges the n-1 tests of the run scan plus the tests the reference merge
     executes on the same runs, and the reference's moves."""
-    s = Sequence(counting_items(keys))  # from_keys would make plain ints
+    s = sequence_of(counting_items(keys))
     ref = Meter()
-    merged, tests = executed(merge_runs, natural_runs(list(s.items)), ref)
+    merged, tests = executed(merge_runs, natural_runs(items_of(s)), ref)
     out = natural_merge_sort(s, Meter())
-    assert out.output.items == tuple(merged) == ref_sort(s).items
+    assert out.output == sequence_of(merged) == ref_sort(s)
     assert out.comparisons == max(len(keys) - 1, 0) + tests
     assert out.moves == ref.moves
 
@@ -891,7 +1032,7 @@ def test_insertion_items_charges_linear_scan_schedule(keys):
     _insertion_keys(list(keys), m)
     ref = Meter()
     out, tests = executed(insertion_reference, counting_items(keys), ref)
-    assert out == list(ref_sort(s))
+    assert out == items_of(ref_sort(s))
     assert m.comparisons == ref.comparisons == tests
     movers = sum(1 for i, k in enumerate(keys) if any(x > k for x in keys[:i]))
     assert m.moves == ref.moves == inversions(s) + movers

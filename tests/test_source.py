@@ -26,22 +26,21 @@ def test_no_unused_imports(path):
     assert unused == [], f"{path.name}: imported but never used (line, name): {unused}"
 
 
-def test_only_core_reads_items():
-    """Sequence.items builds a tuple per item.  Outside core.py the package
-    reads the key and tag columns, so the data path builds no pairs; a
-    called .items() (a dict's) is not a Sequence's."""
+def test_only_core_reads_columns():
+    """core.py alone decides how a Sequence lays out its key and tag
+    columns; every other module asks it through columns(), keys() and
+    tags(), never reading ._keys or ._tags."""
     readers = []
     for path in PACKAGE:
         if path.name == "core.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         readers += [
             (path.name, node.lineno)
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "items" and id(node) not in called
+            if isinstance(node, ast.Attribute) and node.attr in ("_keys", "_tags")
         ]
-    assert readers == [], f"modules reading .items (module, line): {readers}"
+    assert readers == [], f"modules reading a Sequence's columns directly (module, line): {readers}"
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -36,3 +36,15 @@ MERGEABLE16_MULTISET = (8, 3, 2, 2, 1)
 # are broken and the intended multiset {5,3,2,2,2,1,1} is realized.
 REPAIRED16 = [6, 23, 8, 25, 84, 33, 62, 34, 45, 85, 72, 39, 68, 55, 4, 56]
 REPAIRED16_MULTISET = (5, 3, 2, 2, 2, 1, 1)
+
+# A permutation of 1..100 found by hill climbing from the reverse order (each
+# step swaps two positions or reverses a segment, kept unless the charge
+# falls).  select_exact_median charges 1231 comparisons on it, above the
+# 11n + 8 = 1108 that the fixed selection batteries stay under.
+MEDIAN_CLIMB100 = [
+    99, 100, 56, 96, 72, 97, 85, 89, 88, 80, 95, 84, 83, 27, 69, 67, 81, 33, 18, 20, 94, 91,
+    28, 61, 54, 77, 98, 86, 82, 76, 74, 38, 73, 71, 9, 50, 93, 90, 30, 34, 66, 36, 53, 4, 29,
+    87, 57, 75, 64, 62, 11, 63, 52, 35, 19, 70, 21, 13, 14, 1, 68, 12, 65, 32, 31, 5, 43, 59,
+    26, 10, 24, 51, 37, 3, 2, 58, 48, 49, 45, 46, 44, 25, 40, 7, 6, 92, 79, 60, 78, 42, 23, 55,
+    47, 15, 16, 39, 41, 22, 8, 17,
+]
