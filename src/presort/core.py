@@ -151,6 +151,11 @@ def verify_sorted_stable_permutation(inp: Sequence, out: Sequence) -> bool:
 # ignored.  Tags are assigned by line order on load.
 
 _KEY = re.compile(r"[+-]?[0-9]+")
+# Leading '#' lines of ASCII text, each ended as text mode ends a line.
+_HEADER = re.compile(rb"(?:#[^\r\n\x80-\xff]*(?:\r\n?|\n|\Z))*")
+_BODY_BYTES = b"0123456789-\n\r\t "
+# Keys per write in dump_sequence: a 2^16-key chunk formats to well under 2 MB.
+_DUMP_CHUNK = 1 << 16
 
 
 class SequenceFormatError(ValueError):
@@ -177,23 +182,25 @@ def _parse_lines(lines: Iterable[str]) -> list[int]:
 
 
 def _parse_bulk(data: bytes) -> Optional[list[int]]:
-    """Keys of a file's bytes in one C-level pass, or None when in any doubt.
+    """Keys of a file's bytes in C-level passes, or None when in any doubt.
 
     Handles the common file exactly: '#' header lines, then one in-range key
-    per line, split at '\n', '\r' and '\r\n' as text mode splits.  Anything
-    else (a blank line, a later comment, a non-ASCII byte or a '_' past the
-    header, padding int() rejects, an out-of-range key) returns None so that
-    _parse_lines, the only code that raises, decides and words the error.
+    per line with no leading zero, each line ended by '\n', '\r\n' or the
+    end of the file.  The body may hold only digits, '-', '\n', '\r', tab
+    and space; its lines become the items of one JSON array, and on that
+    alphabet every number JSON accepts is a key of the same value.  Anything
+    else (a blank line, a later comment, a '+', a leading zero, a lone '\r'
+    between keys, an out-of-range key) returns None so that _parse_lines,
+    the only code that raises, decides and words the error.
     """
-    lines = data.splitlines()
-    start = 0
-    while start < len(lines) and lines[start].startswith(b"#"):
-        start += 1
-    if not data.isascii() or data.count(b"_") != b"".join(lines[:start]).count(b"_"):
+    import json  # here, not at the top: only a file load pays its start-up cost
+
+    body = data[_HEADER.match(data).end() :].removesuffix(b"\n")
+    if body.translate(None, _BODY_BYTES):
         return None
     try:
-        keys = list(map(int, islice(lines, start, None)))
-    except ValueError:
+        keys = json.loads(b"[" + body.replace(b"\n", b",") + b"]")
+    except ValueError:  # not JSON, or more digits than int() converts
         return None
     if keys and not (KEY_MIN <= min(keys) and max(keys) <= KEY_MAX):
         return None
@@ -212,18 +219,22 @@ def load_sequence(source: Union[str, os.PathLike, io.TextIOBase]) -> Sequence:
             data = fh.read()
         keys = _parse_bulk(data)
         if keys is not None:
-            del data  # free the file's bytes before the sequence is used
             return Sequence(keys, range(len(keys)))
         source = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
     try:
-        return Sequence.from_keys(_parse_lines(source))
+        keys = _parse_lines(source)
     except UnicodeDecodeError as exc:
         # The decoder's offset is not a line number.
         raise SequenceFormatError(f"not ASCII text: byte {exc.object[exc.start]:#04x}") from None
+    return Sequence(keys, range(len(keys)))
 
 
 def dump_sequence(s: Sequence, sink: Union[str, os.PathLike, io.TextIOBase], header: str = "") -> None:
-    """Write a Sequence in the one-integer-per-line text format."""
+    """Write a Sequence in the one-integer-per-line text format.
+
+    Keys go out in chunks of _DUMP_CHUNK, each formatted by one '%' into
+    one string and written at once.
+    """
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="ascii") as fh:
             dump_sequence(s, fh, header=header)
@@ -231,5 +242,7 @@ def dump_sequence(s: Sequence, sink: Union[str, os.PathLike, io.TextIOBase], hea
     if header:
         for line in header.splitlines():
             sink.write(f"# {line}\n")
-    for key in s._keys:
-        sink.write(f"{key}\n")
+    keys = s._keys
+    for start in range(0, len(keys), _DUMP_CHUNK):
+        chunk = tuple(keys[start : start + _DUMP_CHUNK])
+        sink.write("%d\n" * len(chunk) % chunk)

@@ -339,13 +339,80 @@ def test_load_gen_file_takes_the_bulk_path(tmp_path, capsys, monkeypatch, header
     assert load_sequence(p) == generate(GenSpec("random", 10000, seed=7))
 
 
+def _no_reference(lines):
+    raise AssertionError("the line-by-line parser ran on a plain key file")
+
+
+@pytest.mark.parametrize(
+    "data, keys",
+    [
+        (b"1\r\n-2\r\n3\r\n", [1, -2, 3]),  # CRLF line ends
+        (b"1\n2", [1, 2]),  # no final newline
+        (f"-5\n{KEY_MIN}\n{KEY_MAX}\n-0\n".encode(), [-5, KEY_MIN, KEY_MAX, 0]),
+        (b" 1\t\n\t-2 \n  3  \r\n", [1, -2, 3]),  # tab and space padding
+        (b"# run_id=7 a_b\r\n#\n4\n5\n", [4, 5]),  # a header with '_'
+        (b"# family=sorted n=0 seed=7\n", []),  # a header-only file
+        (b"", []),
+    ],
+)
+def test_load_plain_key_file_takes_the_bulk_path(tmp_path, monkeypatch, data, keys):
+    p = tmp_path / "in.txt"
+    p.write_bytes(data)
+    monkeypatch.setattr(core, "_parse_lines", _no_reference)
+    s = load_sequence(p)
+    assert s.keys() == keys and s.tags() == list(range(len(keys)))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"+5\n",
+        b"007\n",
+        b"1\n\n2\n",  # a blank line
+        b"1\r2\n",  # a lone '\r'
+        b"1.5\n",
+        b"1e3\n",
+        b"NaN\n",
+        b"Infinity\n",
+        b"true\n",
+        b"[1]\n",
+        b'"5"\n',
+        b"1,2\n",
+        b"1" * 4301 + b"\n",
+        f"{KEY_MAX + 1}\n".encode(),
+    ],
+)
+def test_bulk_parser_declines_what_only_the_line_parser_decides(tmp_path, data):
+    assert core._parse_bulk(data) is None
+    p = tmp_path / "in.txt"
+    p.write_bytes(data)
+    with open(p, encoding="ascii") as fh:
+        want = _or_error(_reference, fh)
+    assert _or_error(load_sequence, p) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2**16 - 1, 2**16, 2**16 + 1])
+@pytest.mark.parametrize("header", ["", "family=sorted n=3\nseed=7"])
+def test_dump_writes_one_key_per_line_across_chunks(tmp_path, n, header):
+    keys = [(KEY_MIN, KEY_MAX)[i % 2] if i % 5000 < 2 else i * 37 % 2001 - 1000 for i in range(n)]
+    want = "".join(f"# {line}\n" for line in header.splitlines()) + "".join(f"{k}\n" for k in keys)
+    s = Sequence(keys, range(n))
+    sink = io.StringIO()
+    dump_sequence(s, sink, header=header)
+    assert sink.getvalue() == want
+    p = tmp_path / "out.txt"
+    dump_sequence(s, p, header=header)
+    assert p.read_bytes() == want.encode("ascii")
+
+
 # A sequence file grammar, good lines and bad: keys with signs, leading
 # zeros, '_' separators and padding, keys just inside and outside the 64-bit
-# range, comments anywhere, blank lines and junk.  Lines end in '\n', '\r\n'
-# or a lone '\r'; padding includes the '\x0b', '\x0c' and '\x1c' that
-# str.strip() removes.
+# range, comments anywhere, blank lines and junk, including tokens that JSON
+# reads as values.  Lines end in '\n', '\r\n' or a lone '\r'; padding
+# includes the '\x0b', '\x0c' and '\x1c' that str.strip() removes.
 _NEAR_EDGES = [KEY_MIN - 1, KEY_MIN, KEY_MAX, KEY_MAX + 1, -(2**64), 2**64]
 _OTHER_LINES = ["", " ", "\t", "#", "  # indented", "x", "1.5", "--1", "+", "-", "0x10", "1 2"]
+_OTHER_LINES += ["1e3", "1E3", "NaN", "Infinity", "-Infinity", "true", "null", "[1]", '"5"', "1,2"]
 
 
 @st.composite
