@@ -52,6 +52,10 @@ PROFILE_HEADER = "n,k,sizes,entropy_H,bound_B,inversions,displacement,runs,disti
 BENCH_ALGOS = tuple(f"psort-{kind}" for kind in PIVOT_KINDS) + ("blocked", "insertion", "natmerge")
 
 
+class VerificationError(Exception):
+    """A sorter's output is not the stable sort of its input; exit 3."""
+
+
 class _Parser(argparse.ArgumentParser):
     # Flag errors are exit code 1 here, not argparse's default 2.
     def error(self, message):
@@ -189,33 +193,30 @@ def _open_out(path: Optional[str]):
     return open(path, "w", encoding="ascii") if path else nullcontext(sys.stdout)
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     spec = GenSpec(args.family, args.n, k=args.k, sizes=args.sizes, h=args.h, seed=args.seed)
-    spec.validate()  # usage errors first, then --out is opened, then the sequence built
     with open(args.out, "w", encoding="ascii") as fh:
         dump_sequence(generate(spec), fh, header=f"family={spec.family} n={spec.n} seed={spec.seed}")
     print(f"family={spec.family} n={spec.n}")
-    return EXIT_OK
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> None:
     fields = _profile_fields(profile(load_sequence(args.infile)))
     if args.csv:
         lines = [PROFILE_HEADER, ",".join(value for _, value in fields)]
     else:
         lines = [f"{name}={value}" for name, value in fields]
     print("\n".join(lines))
-    return EXIT_OK
 
 
-def cmd_sort(args) -> int:
+def cmd_sort(args) -> None:
     seq = load_sequence(args.infile)
     if args.algo == "blocked":
         _check_blocked(args.k, seq.n)
     # --out is opened after every usage error but before the sort: it may name the input.
     with open(args.out, "w", encoding="ascii") if args.out else nullcontext() as fh:
         outcome = _run_sorter(args.algo, args.pivot, seq, args.k, args.seed)
-        ok = outcome.is_sorted and verify_sorted_stable_permutation(seq, outcome.output)
+        ok = verify_sorted_stable_permutation(seq, outcome.output)
         print(f"comparisons={outcome.comparisons}")
         print(f"moves={outcome.moves}")
         print(f"retries={outcome.pivot_retries}")
@@ -224,12 +225,10 @@ def cmd_sort(args) -> int:
         if fh:
             dump_sequence(outcome.output, fh)
     if not ok:
-        print("presort sort: output failed verification", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+        raise VerificationError("output failed verification")
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     for family in args.families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
@@ -244,12 +243,11 @@ def cmd_bench(args) -> int:
         for n in args.sizes:
             for seed in range(args.seed, args.seed + args.trials):
                 spec, param = _bench_spec(family, n, args, seed)
-                spec.validate()
                 if "blocked" in args.algos:
                     _check_blocked(args.k, n)
                 trials.append((family, n, seed, spec, param))
-    # (sort key, CSV line); the stable sort keeps tied rows in run order.
-    rows: list[tuple[tuple, str]] = []
+    # (sort key, CSV line, label if unverified else ""); the stable sort keeps ties in run order.
+    rows: list[tuple[tuple, str, str]] = []
     with _open_out(args.out) as fh:
         for family, n, seed, spec, param in trials:
             seq = generate(spec)
@@ -261,17 +259,18 @@ def cmd_bench(args) -> int:
                 outcome = _run_sorter(algo, pivot, seq, args.k, seed)
                 elapsed = 0 if args.no_time else time.perf_counter_ns() - t0
                 ratio = outcome.comparisons / bound if bound else 0.0
-                line = (
-                    f"{family},{n},{param},{algo},{pivot},{seed},{outcome.comparisons},"
-                    f"{outcome.moves},{bound:.6f},{h:.6f},{ratio:.6f},{elapsed}"
-                )
-                rows.append(((family, n, algo, seed, param, pivot), line))
+                label = f"{family},{n},{param},{algo},{pivot},{seed}"
+                line = f"{label},{outcome.comparisons},{outcome.moves},{bound:.6f},{h:.6f},{ratio:.6f},{elapsed}"
+                ok = verify_sorted_stable_permutation(seq, outcome.output)
+                rows.append(((family, n, algo, seed, param, pivot), line, "" if ok else label))
         rows.sort(key=itemgetter(0))
-        fh.write("\n".join([BENCH_HEADER] + [line for _, line in rows]) + "\n")
-    return EXIT_OK
+        fh.write("\n".join([BENCH_HEADER] + [line for _, line, _ in rows]) + "\n")
+    failed = [label for _, _, label in rows if label]
+    if failed:
+        raise VerificationError(f"output failed verification in row {failed[0]}")
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> None:
     what, top = ("census --worstcase", MAX_WORST_CASE_N) if args.worstcase else ("census", MAX_CENSUS_N)
     if not 1 <= args.n <= top:
         raise ValueError(f"{what} supports 1 <= n <= {top}, got {args.n}")
@@ -282,7 +281,6 @@ def cmd_census(args) -> int:
             for row in enumerate_census(args.n)
         ]
         fh.write("\n".join([CENSUS_HEADER] + lines) + "\n")
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -294,7 +292,10 @@ def main(argv=None) -> int:
     # SequenceFormatError is a ValueError, so the data errors match first.
     # The except clause unbinds exc when it ends; error keeps it.
     try:
-        return args.handler(args)
+        args.handler(args)
+        return EXIT_OK
+    except VerificationError as exc:
+        error, code = exc, EXIT_VERIFY
     except (OSError, SequenceFormatError) as exc:
         error, code = exc, EXIT_DATA
     except ValueError as exc:

@@ -48,9 +48,6 @@ class Sequence:
     def keys(self) -> list[int]:
         return list(self._keys)
 
-    def tags(self) -> list[int]:
-        return list(self._tags)
-
     def columns(self) -> tuple[list[int], Union[list[int], range]]:
         """The key list and tag column themselves, not copies: read only."""
         return self._keys, self._tags

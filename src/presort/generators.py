@@ -31,7 +31,8 @@ class GenSpec:
 
     k is the displacement bound (displacement family), sizes the block
     sizes (sorted-type family), h the distinct key count (multiset
-    family); the rest ignore them.
+    family); the rest ignore them.  Building a spec checks it, so an
+    invalid one, from dataclasses.replace too, raises ValueError.
     """
 
     family: str
@@ -41,7 +42,7 @@ class GenSpec:
     h: Optional[int] = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 0:
@@ -60,7 +61,6 @@ class GenSpec:
 
 def generate(spec: GenSpec) -> Sequence:
     """Produce the sequence a GenSpec describes.  Same spec, same bytes."""
-    spec.validate()
     n = spec.n
     if spec.family == "sorted":
         return Sequence.from_keys(range(1, n + 1))

@@ -353,7 +353,7 @@ def test_bench_param_column(tmp_path, capsys):
         "--trials", "1", "--out", str(out), "--no-time",
     ])
     capsys.readouterr()
-    assert code == 0
+    assert code == 3  # blocked at k = 4 does not sort the multiset input
     params = {line.split(",")[0]: line.split(",")[2] for line in out.read_text().splitlines()[1:]}
     assert params == {"displacement": "k=4", "multiset": "h=8", "sorted-type": "type=8-8-8-8"}
 
@@ -407,8 +407,29 @@ def test_bench_golden_bytes(capsys):
         "--algos", "psort-median,psort-randmid,psort-fr,blocked,insertion,natmerge",
         "--trials", "2", "--k", "4", "--h", "5", "--blocks", "2", "--no-time",
     )
-    assert code == 0
+    assert code == 3  # blocked at k = 4 sorts neither multiset nor transpose at n = 16
     assert stdout == BENCH_16_GOLDEN
+
+
+def test_bench_exits_0_when_every_blocked_run_verifies(capsys):
+    code, stdout, err = run(
+        capsys, "bench", "--families", "sorted,displacement", "--sizes", "64,256",
+        "--algos", "blocked,psort-median", "--trials", "2", "--k", "8", "--no-time",
+    )
+    assert (code, err) == (0, "")
+    assert len(stdout.splitlines()) == 1 + 2 * 2 * 2 * 2
+
+
+def test_bench_failed_verification_still_writes_the_csv(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    grid = ["--families", "transpose,sorted-type,multiset", "--sizes", "16",
+            "--algos", "psort-median,psort-randmid,psort-fr,blocked,insertion,natmerge",
+            "--trials", "2", "--k", "4", "--h", "5", "--blocks", "2", "--no-time"]
+    code, stdout, err = run(capsys, "bench", *grid, "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert out.read_text() == BENCH_16_GOLDEN
+    # The first failed row in CSV order; blocked sorts sorted-type 8-8 at k = 4.
+    assert err == "presort bench: output failed verification in row multiset,16,h=5,blocked,,0\n"
 
 
 # At n = 16 every psort segment is a merge leaf; at n = 256 each pivot

@@ -33,7 +33,7 @@ def test_sequence_from_keys_assigns_tags_in_order():
     assert s == Sequence([9, 3, 9], [0, 1, 2])
     assert s.n == 3
     assert s.keys() == [9, 3, 9]
-    assert s.tags() == [0, 1, 2]
+    assert list(s.columns()[1]) == [0, 1, 2]
 
 
 def test_sorted_check_sorted_input_scans_every_pair():
@@ -191,9 +191,9 @@ def test_pair_and_column_sequences_agree(keys):
     ref = Sequence([keys[p] for p in order], order)
     for a, b in ((fresh, listed), (listed, fresh), (out, ref), (ref, out)):
         assert a == b
-        assert a.keys() == b.keys() and a.tags() == b.tags()
+        assert a.keys() == b.keys() and list(a.columns()[1]) == list(b.columns()[1])
         assert repr(a) == repr(b)
-    assert fresh.tags() == list(range(len(keys)))
+    assert list(fresh.columns()[1]) == list(range(len(keys)))
 
 
 def test_sequence_columns_must_have_one_length():
@@ -220,8 +220,7 @@ def test_sequence_keeps_its_items_and_hands_out_copies():
     s = Sequence.from_keys(keys)
     keys[0] = 99
     s.keys()[1] = 99
-    s.tags().append(3)
-    assert s.keys() == [3, 1, 2] and s.tags() == [0, 1, 2]
+    assert s.keys() == [3, 1, 2] and list(s.columns()[1]) == [0, 1, 2]
 
 
 # -- text format --------------------------------------------------------------
@@ -232,7 +231,7 @@ def test_load_skips_comments_and_blanks(tmp_path):
     p.write_text("# header\n\n5\n-3\n# mid\n7\n\n")
     s = load_sequence(p)
     assert s.keys() == [5, -3, 7]
-    assert s.tags() == [0, 1, 2]
+    assert list(s.columns()[1]) == [0, 1, 2]
 
 
 def test_dump_load_round_trip(tmp_path):
@@ -360,7 +359,7 @@ def test_load_plain_key_file_takes_the_bulk_path(tmp_path, monkeypatch, data, ke
     p.write_bytes(data)
     monkeypatch.setattr(core, "_parse_lines", _no_reference)
     s = load_sequence(p)
-    assert s.keys() == keys and s.tags() == list(range(len(keys)))
+    assert s.keys() == keys and list(s.columns()[1]) == list(range(len(keys)))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -11,7 +12,7 @@ from presort.measures import decompose_maximal, max_displacement
 
 
 def is_permutation_sequence(seq):
-    return sorted(seq.tags()) == list(range(seq.n))
+    return sorted(seq.columns()[1]) == list(range(seq.n))
 
 
 def test_families_tuple():
@@ -240,7 +241,7 @@ def test_every_family_emits_valid_tags():
 
 def test_genspec_validation():
     with pytest.raises(ValueError):
-        GenSpec("nope", 4).validate()
+        GenSpec("nope", 4)
     with pytest.raises(ValueError):
         generate(GenSpec("displacement", 4, k=4))  # k must be <= n-1
     with pytest.raises(ValueError):
@@ -255,3 +256,26 @@ def test_genspec_validation():
         generate(GenSpec("displacement", 4))  # missing k
     with pytest.raises(ValueError):
         generate(GenSpec("sorted", -1))
+
+
+# Each invalid spec of test_genspec_validation as its fields, with a valid
+# spec that dataclasses.replace turns into it.
+BAD_SPECS = [
+    (dict(family="nope", n=4), GenSpec("sorted", 4)),
+    (dict(family="displacement", n=4, k=4), GenSpec("displacement", 4, k=3)),
+    (dict(family="sorted-type", n=4, sizes=(3, 2)), GenSpec("sorted-type", 4, sizes=(2, 2))),
+    (dict(family="sorted-type", n=4, sizes=()), GenSpec("sorted-type", 4, sizes=(4,))),
+    (dict(family="multiset", n=4, h=5), GenSpec("multiset", 4, h=4)),
+    (dict(family="multiset", n=4, h=0), GenSpec("multiset", 4, h=1)),
+    (dict(family="displacement", n=4, k=None), GenSpec("displacement", 4, k=0)),
+    (dict(family="sorted", n=-1), GenSpec("sorted", 0)),
+]
+
+
+@pytest.mark.parametrize("fields, valid", BAD_SPECS)
+def test_genspec_checks_itself_when_built_and_replaced(fields, valid):
+    with pytest.raises(ValueError) as built:
+        GenSpec(**fields)
+    with pytest.raises(ValueError) as replaced:
+        replace(valid, **fields)
+    assert str(replaced.value) == str(built.value)

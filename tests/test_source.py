@@ -28,8 +28,8 @@ def test_no_unused_imports(path):
 
 def test_only_core_reads_columns():
     """core.py alone decides how a Sequence lays out its key and tag
-    columns; every other module asks it through columns(), keys() and
-    tags(), never reading ._keys or ._tags."""
+    columns; every other module asks it through columns() and keys(),
+    never reading ._keys or ._tags."""
     readers = []
     for path in PACKAGE:
         if path.name == "core.py":
@@ -98,3 +98,19 @@ def test_private_names_are_used():
     assert defined, "no private module-level names found; the scan is broken"
     dead = sorted(entry for entry in defined if entry[2] not in used)
     assert dead == [], f"private names defined but never used (module, line, name): {dead}"
+
+
+def test_only_main_decides_exit_codes():
+    """No cmd_* handler in cli.py returns a value: each raises to main,
+    which maps the exception to the exit code."""
+    path = Path(presort.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert handlers, "cli.py defines no cmd_* handlers"
+    returns = [
+        (fn.name, node.lineno)
+        for fn in handlers
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Return) and node.value is not None
+    ]
+    assert returns == [], f"cmd_* handlers returning a value (handler, line): {returns}"
