@@ -1,12 +1,12 @@
 """Stable comparison-metered sorters and pivot selectors.
 
 The flagship is partition_sort: a stable quicksort variant that first runs
-a cheap is-it-sorted scan at every level, so inputs (and sub-segments)
+a cheap run-counting scan at every level, so inputs (and sub-segments)
 that are already in order cost a linear scan and nothing else, and that
-finishes short segments by merging their natural runs instead of picking
-pivots.  Its total comparison count tracks the entropy budget of the
-input's block decomposition; the acceptance suite calibrates and enforces
-that.
+finishes short segments, and longer ones made of at most RUN_CAP runs, by
+merging their natural runs instead of picking pivots.  Its total
+comparison count tracks the entropy budget of the input's block
+decomposition; the acceptance suite calibrates and enforces that.
 
 blocked_sort is the complementary specialist: two passes of mergesorting
 overlapping 2k-wide windows, which sorts any input whose items all sit
@@ -37,9 +37,11 @@ from .core import Meter, Sequence
 # Unsorted segments at or below SMALL_SEGMENT are finished with insertion
 # sort, and the rest up to MERGE_SEGMENT with one natural merge, instead of
 # partitioning further.  Floyd-Rivest selection sorts its keys outright at
-# MERGE_SEGMENT or fewer.
+# MERGE_SEGMENT or fewer.  A longer segment of at most RUN_CAP natural runs
+# is merged once instead of split around a pivot.
 SMALL_SEGMENT = 8
 MERGE_SEGMENT = 64
+RUN_CAP = 16
 
 # Sampling attempts select_random_middle makes before giving up and
 # falling back to the deterministic selector.
@@ -227,15 +229,32 @@ def _merge_sort_keys(keys: list[int], m: Meter) -> tuple[list[int], int]:
     return merged, moves + n - n % 2
 
 
+def _run_starts(keys: list[int], cap: int, m: Meter) -> list[int]:
+    """The first cap run starts after 0 in keys: each i with keys[i-1] > keys[i].
+
+    Scans pairs left to right and charges one test per pair examined: the
+    cap-th start itself when the scan stops there, else n-1 (none when
+    n <= 1).
+    """
+    starts = list(islice(compress(count(1), map(gt, keys, islice(keys, 1, None))), cap))
+    m.comparisons += starts[-1] if len(starts) == cap else max(len(keys) - 1, 0)
+    return starts
+
+
+def _merge_runs_at(keys: list[int], starts: list[int], m: Meter) -> None:
+    """Charge _merge_keys on the runs of keys that begin at 0 and at starts,
+    moves included."""
+    bounds = [0, *starts, len(keys)]
+    m.moves += _merge_keys([keys[a:b] for a, b in zip(bounds, islice(bounds, 1, None))], m)[1]
+
+
 def _natural_merge_keys(keys: list[int], m: Meter) -> None:
     """Charge a stable natural merge sort of keys, which has n >= 1 keys.
 
     Finds the non-decreasing runs with n-1 charged tests, then charges
     _merge_keys on the runs, moves included.
     """
-    starts = [0, *compress(count(1), map(gt, keys, islice(keys, 1, None))), len(keys)]
-    m.comparisons += len(keys) - 1
-    m.moves += _merge_keys([keys[a:b] for a, b in zip(starts, islice(starts, 1, None))], m)[1]
+    _merge_runs_at(keys, _run_starts(keys, len(keys), m), m)
 
 
 def _insertion_keys(keys: list[int], m: Meter) -> None:
@@ -465,14 +484,19 @@ def natural_merge_sort(s: Sequence, m: Meter) -> SortOutcome:
 def _psort(keys: list[int], select, rng, m: Meter, depth: int) -> tuple[int, int]:
     """Charge sorting one segment's keys at recursion level depth; returns
     the pivot retries and the deepest level reached."""
-    if m.first_descent(keys) < 0:
-        return 0, depth
     n = len(keys)
-    if n <= SMALL_SEGMENT:
-        _insertion_keys(keys, m)
-        return 0, depth
     if n <= MERGE_SEGMENT:
-        _natural_merge_keys(keys, m)
+        if m.first_descent(keys) < 0:
+            return 0, depth
+        if n <= SMALL_SEGMENT:
+            _insertion_keys(keys, m)
+        else:
+            _natural_merge_keys(keys, m)
+        return 0, depth
+    starts = _run_starts(keys, RUN_CAP, m)
+    if len(starts) < RUN_CAP:
+        if starts:
+            _merge_runs_at(keys, starts, m)
         return 0, depth
     pivot, retries = select(keys, rng, m)
     # Charged as the per-item three-way loop: one test below the pivot, two
@@ -497,17 +521,30 @@ def _charge_psort(keys: list[int], strategy: PivotStrategy, m: Meter) -> tuple[i
 def partition_sort(s: Sequence, strategy: PivotStrategy, m: Meter) -> SortOutcome:
     """Stable adaptive partition sort.
 
-    Every level, top call included, starts with the is-sorted scan and
+    Every level, top call included, starts with a sortedness scan and
     returns immediately when the segment is already in order, so a sorted
     input of length n costs exactly n-1 comparisons.  An unsorted segment
     of at most SMALL_SEGMENT keys is insertion-sorted, and one of at most
     MERGE_SEGMENT keys is merge-sorted from its natural runs, charged as
     natural_merge_sort (its run scan re-tests the pairs the is-sorted scan
-    passed).  Longer segments pick a pivot per the strategy, split stably
-    three ways, and recurse on the outer parts; duplicates of the pivot
-    are done the moment they land in the middle.  Comparisons spent
-    finding and verifying pivots are charged like any others.  The
-    recursion runs on keys (_charge_psort); _outcome routes the items once.
+    passed).  On a longer segment the scan goes on past the first descent
+    until it has found RUN_CAP of them, charging every pair it examines.
+    A segment of at most RUN_CAP runs is merged once from the run starts
+    the scan found, each pair tested once.  The others pick a pivot per
+    the strategy, split stably three ways, and recurse on the outer parts;
+    duplicates of the pivot are done the moment they land in the middle.
+    Comparisons spent finding and verifying pivots are charged like any
+    others.  The recursion runs on keys (_charge_psort); _outcome routes
+    the items once.
+
+    What the run scan adds is O(B), B the budget of
+    measures.entropy_bound.  On a segment that splits, it costs at most
+    n-1, less than the split's n or more tests.  A merged segment of R <=
+    RUN_CAP runs costs its n-1 scan plus at most n*ceil(log2 R) merge
+    tests; merged segments are disjoint, so all merges together cost at
+    most (ceil(log2 RUN_CAP) + 1)*n.  And B >= 2n, since each block of b
+    keys adds b*log2(n/b + 1) >= b to the n term, so the merges add at
+    most (ceil(log2 RUN_CAP) + 1)/2 times B.
     """
     c0, v0 = m.comparisons, m.moves
     return _outcome(s, m, c0, v0, *_charge_psort(s.columns()[0], strategy, m))

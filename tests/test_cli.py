@@ -432,22 +432,27 @@ def test_bench_failed_verification_still_writes_the_csv(tmp_path, capsys):
     assert err == "presort bench: output failed verification in row multiset,16,h=5,blocked,,0\n"
 
 
-# At n = 16 every psort segment is a merge leaf; at n = 256 each pivot
-# kind selects, so its selection's comparisons show in the rows.
+# At n = 16 every psort segment is a merge leaf.  At n = 256 each pivot
+# kind selects on random keys, so its selection's comparisons show in the
+# rows; displacement (at most 16 runs here) and transpose (two) are one
+# merge after the run scan under every kind.
 BENCH_256_GOLDEN = """\
 family,n,param,algo,pivot,seed,comparisons,moves,bound_B,entropy_H,ratio,elapsed_ns
-displacement,256,k=16,psort,fr,0,7164,976,1063.241839,2.974385,6.737884,0
-displacement,256,k=16,psort,median,0,3319,976,1063.241839,2.974385,3.121585,0
-displacement,256,k=16,psort,randmid,0,3536,1018,1063.241839,2.974385,3.325678,0
-random,256,,psort,fr,0,7700,1814,2027.366452,6.906436,3.798031,0
-random,256,,psort,median,0,4870,1814,2027.366452,6.906436,2.402131,0
-random,256,,psort,randmid,0,3482,1880,2027.366452,6.906436,1.717499,0
+displacement,256,k=16,psort,fr,0,890,1018,1063.241839,2.974385,0.837063,0
+displacement,256,k=16,psort,median,0,890,1018,1063.241839,2.974385,0.837063,0
+displacement,256,k=16,psort,randmid,0,890,1018,1063.241839,2.974385,0.837063,0
+random,256,,psort,fr,0,7795,1814,2027.366452,6.906436,3.844890,0
+random,256,,psort,median,0,4965,1814,2027.366452,6.906436,2.448990,0
+random,256,,psort,randmid,0,3645,1880,2027.366452,6.906436,1.797899,0
+transpose,256,,psort,fr,0,383,256,661.750400,1.000000,0.578768,0
+transpose,256,,psort,median,0,383,256,661.750400,1.000000,0.578768,0
+transpose,256,,psort,randmid,0,383,256,661.750400,1.000000,0.578768,0
 """
 
 
 def test_bench_golden_bytes_above_merge_leaf(capsys):
     code, stdout, _ = run(
-        capsys, "bench", "--families", "random,displacement", "--sizes", "256",
+        capsys, "bench", "--families", "random,displacement,transpose", "--sizes", "256",
         "--algos", "psort-median,psort-randmid,psort-fr", "--trials", "1", "--k", "16", "--no-time",
     )
     assert code == 0

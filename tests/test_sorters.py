@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from operator import gt
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from presort.measures import count_runs, inversions, max_displacement
 from presort.sorters import (
     MERGE_SEGMENT,
     RANDOM_MIDDLE_ATTEMPT_CAP,
+    RUN_CAP,
     SMALL_SEGMENT,
     PIVOT_KINDS,
     PivotStrategy,
@@ -21,6 +23,7 @@ from presort.sorters import (
     _insertion_keys,
     _insertion_sort_keys,
     _merge_sort_keys,
+    _run_starts,
     _select_kth_key,
     blocked_sort,
     exact_median,
@@ -194,26 +197,55 @@ def insertion_reference(items, m):
     return out
 
 
+def run_scan_reference(keys, cap, m):
+    """Per-pair scan for the first cap descents: the number found, with
+    every pair examined charged as it is tested."""
+    found = 0
+    for i in range(1, len(keys)):
+        m.comparisons += 1
+        if keys[i - 1] > keys[i]:
+            found += 1
+            if found == cap:
+                break
+    return found
+
+
 def psort_reference(items, select, rng, m, depth=1):
     """Per-item reference for partition_sort: (sorted items, retries, depth).
 
-    The same sortedness scan, leaf sizes and selector, with every item
-    routed at every level: by insertion_reference, by merge_runs on the
-    natural runs after an n-1 test run scan, and by partition3_reference.
+    The same scans, leaf sizes and selector, with every item routed at
+    every level: by insertion_reference, by merge_runs on the natural runs
+    (after an n-1 test run scan on a leaf), and by partition3_reference.
+    A segment above MERGE_SEGMENT scans for sorters.RUN_CAP descents and
+    is merged on the runs it found when it has at most RUN_CAP runs.
     """
     keys = [it[0] for it in items]
-    if m.first_descent(keys) < 0:
-        return items, 0, depth
-    if len(items) <= SMALL_SEGMENT:
-        return insertion_reference(items, m), 0, depth
-    if len(items) <= MERGE_SEGMENT:
-        m.comparisons += len(items) - 1
+    n = len(items)
+    if n <= MERGE_SEGMENT:
+        if m.first_descent(keys) < 0:
+            return items, 0, depth
+        if n <= SMALL_SEGMENT:
+            return insertion_reference(items, m), 0, depth
+        m.comparisons += n - 1
         return merge_runs(natural_runs(items), m), 0, depth
+    descents = run_scan_reference(keys, sorters.RUN_CAP, m)
+    if descents < sorters.RUN_CAP:
+        return (merge_runs(natural_runs(items), m) if descents else items), 0, depth
     pivot, retries = select(keys, rng, m)
     lo, eq, hi = partition3_reference(items, pivot, m)
     lo, lo_retries, lo_depth = psort_reference(lo, select, rng, m, depth + 1)
     hi, hi_retries, hi_depth = psort_reference(hi, select, rng, m, depth + 1)
     return lo + eq + hi, retries + lo_retries + hi_retries, max(lo_depth, hi_depth)
+
+
+def saw_tooth(n, r, rng=None):
+    """The keys 0..n-1 in exactly r ascending runs (1 <= r <= n), each run
+    below the one before it: cut at random points when rng is given, else
+    into runs of n // r keys, the last taking the rest."""
+    cuts = sorted(rng.sample(range(1, n), r - 1)) if rng else [i * (n // r) for i in range(1, r)]
+    bounds = [0, *cuts, n]
+    runs = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    return [k for run in reversed(runs) for k in run]
 
 
 def spy_selectors(monkeypatch, record):
@@ -498,27 +530,90 @@ def test_psort_blocks_vector_sorts_to_baseline():
 
 
 def test_psort_half_swap_structure():
-    # n=256 keeps both halves above the merge leaf: one partition level,
-    # then each half passes its sorted check
+    # n=256 is above the merge leaf, but has two runs: the scan reads all
+    # 255 pairs and one merge of 128 tests finishes it at depth 1
     s = Sequence.from_keys([*range(129, 257), *range(1, 129)])
     out = partition_sort(s, PivotStrategy("median"), Meter())
-    assert out.max_recursion_depth == 2
+    assert out.max_recursion_depth == 1
+    assert (out.comparisons, out.moves, out.pivot_retries) == (255 + 128, 256, 0)
     assert out.output.keys() == sorted(s.keys())
     budget = 256 * math.log2(3) + 256
     assert out.comparisons <= 12 * budget
 
 
 def test_psort_selects_only_above_the_merge_leaf(monkeypatch):
-    """Segments of at most MERGE_SEGMENT keys are finished without a pivot."""
-    sizes = []
-    spy_selectors(monkeypatch, lambda before, after: sizes.append(len(before)))
+    """Segments of at most MERGE_SEGMENT keys, and longer ones of at most
+    RUN_CAP runs, are finished without a pivot."""
+    seen = []
+    spy_selectors(monkeypatch, lambda before, after: seen.append((len(before), count_runs(Sequence.from_keys(before)))))
     rng = random.Random(17)
     for trial in range(40):
         n = rng.randint(0, 600)
-        s = Sequence.from_keys(rng.choices(range(rng.choice((3, 50, 10_000))), k=n))
+        keys = rng.choices(range(rng.choice((3, 50, 10_000))), k=n)
+        if trial % 4 == 3 and n > 2 * RUN_CAP:
+            keys = saw_tooth(n, rng.randint(2, 2 * RUN_CAP), rng)
+        s = Sequence.from_keys(keys)
         for strategy in STRATEGIES:
             assert partition_sort(s, strategy, Meter()).output == ref_sort(s)
-    assert sizes and min(sizes) > MERGE_SEGMENT
+    assert seen and min(size for size, _ in seen) > MERGE_SEGMENT
+    assert min(runs for _, runs in seen) > RUN_CAP
+
+
+@given(st.integers(0, 150).flatmap(lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n)), st.integers(1, 40))
+def test_run_starts_charges_the_pairs_it_examines(keys, cap):
+    """The run scan finds the first cap descents and charges exactly the
+    pairs it tests: the cap-th run start when it stops there, else n-1."""
+    m = Meter()
+    starts, tests = executed(_run_starts, counting_keys(keys), cap, m)
+    descents = [i for i in range(1, len(keys)) if keys[i - 1] > keys[i]]
+    assert starts == descents[:cap]
+    assert m.comparisons == tests == (descents[cap - 1] if len(descents) >= cap else max(len(keys) - 1, 0))
+
+
+@pytest.mark.parametrize("runs", range(2, RUN_CAP + 1))
+def test_psort_merges_a_few_run_segment_once(runs):
+    """Above MERGE_SEGMENT, a segment of at most RUN_CAP runs is charged
+    its n-1 scan once plus what the per-test merge of its runs executes,
+    at depth 1 under every pivot kind: no pair is tested twice."""
+    rng = random.Random(runs)
+    for n in (MERGE_SEGMENT + 1, 300, 1000):
+        keys = saw_tooth(n, runs, rng)
+        ref = Meter()
+        _, tests = executed(merge_runs, natural_runs(counting_items(keys)), ref)
+        for strategy in STRATEGIES:
+            out = partition_sort(Sequence.from_keys(keys), strategy, Meter())
+            got = (out.comparisons, out.moves, out.pivot_retries, out.max_recursion_depth)
+            assert got == (n - 1 + tests, ref.moves, 0, 1), (n, strategy)
+
+
+def test_psort_merge_charge_within_proven_bound(monkeypatch):
+    """Every segment the run scan merges, of n > MERGE_SEGMENT keys in
+    R <= RUN_CAP runs, is charged at most (n-1) + n*ceil(log2 R): the scan,
+    then ceil(log2 R) merge rounds of at most n tests.  A longer segment
+    with more runs selects (it recurses, so it returns a deeper level)."""
+    segments = []
+    inner = sorters._psort
+
+    def spy(keys, select, rng, m, depth):
+        c0 = m.comparisons
+        retries, deepest = inner(keys, select, rng, m, depth)
+        if len(keys) > MERGE_SEGMENT:
+            runs = 1 + sum(map(gt, keys, keys[1:]))
+            segments.append((len(keys), runs, deepest == depth, m.comparisons - c0))
+        return retries, deepest
+
+    monkeypatch.setattr(sorters, "_psort", spy)
+    inputs = [generate(GenSpec("transpose", n)) for n in (65, 256, 4097)]
+    inputs += [Sequence.from_keys(saw_tooth(2048, r)) for r in range(2, RUN_CAP + 1)]
+    inputs.append(generate(GenSpec("displacement", 100000, k=64, seed=7)))
+    for s in inputs:
+        for strategy in STRATEGIES:
+            assert partition_sort(s, strategy, Meter()).output.keys() == sorted(s.keys())
+    merged = [(n, runs, charge) for n, runs, leaf, charge in segments if leaf and runs > 1]
+    assert len(merged) > 3 * (3 + RUN_CAP - 1)  # the README input merges deeper segments too
+    for n, runs, charge in merged:
+        assert runs <= RUN_CAP and charge <= n - 1 + n * math.ceil(math.log2(runs)), (n, runs, charge)
+    assert all(leaf == (runs <= RUN_CAP) for _, runs, leaf, _ in segments)
 
 
 def test_selectors_leave_the_key_list_alone(monkeypatch):
@@ -823,7 +918,9 @@ def _battery(rng):
 # 9 to MERGE_SEGMENT keys became merge leaves, whose charge the counting
 # tests below hold to the per-test merge, and the cells that run
 # _select_kth_key when selection became rank-adaptive, whose charge they
-# hold to select_kth_reference.
+# hold to select_kth_reference.  The rows above MERGE_SEGMENT keys were
+# re-recorded when the run scan began to look for RUN_CAP descents; their
+# earlier cells are PINNED_PSORT_CAP1.
 PINNED_COUNTS = [
     ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0), (0, 0), None, None, None, None, None, None),
     ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 3), None, None),
@@ -837,17 +934,29 @@ PINNED_COUNTS = [
     ((97, 96, 0, 1), (97, 96, 0, 1), (97, 96, 0, 1), (189, 191), (96, 96), (23, 46), (97, 152), (81, 112), (142, 341), (81, (341, 0)), (92, (77, 3))),
     ((206, 193, 0, 1), (206, 193, 0, 1), (206, 193, 0, 1), (385, 385), (205, 193), (40, 80), (221, 313), (177, 234), (166, 3), (177, (3, 0)), (40, (3, 0))),
     ((198, 190, 0, 1), (198, 190, 0, 1), (198, 190, 0, 1), (468, 471), (196, 190), (40, 80), (216, 313), (180, 234), (216, 518), (180, (518, 0)), (80, (812, 1))),
-    ((3295, 789, 0, 3), (2005, 879, 1, 4), (6527, 789, 0, 3), (19581, 19536), (2119, 2100), (299, 598), (2810, 3840), (2158, 2596), (1130, 4), (1930, (4, 0)), (598, (5, 1))),
-    ((6981, 2246, 0, 4), (4621, 2229, 7, 5), (11604, 2246, 0, 4), (22678, 22683), (2346, 2293), (299, 598), (2847, 3840), (2202, 2596), (1376, 508), (3332, (508, 0)), (299, (429, 0))),
-    ((12000, 2117, 0, 4), (8520, 2369, 6, 4), (18909, 2117, 0, 4), (220176, 220049), (8899, 8857), (999, 1998), (11731, 15798), (8412, 9984), (3838, 3), (7472, (3, 0)), (3996, (6, 3))),
-    ((30551, 9059, 0, 5), (19764, 9271, 20, 7), (48615, 9059, 0, 5), (245147, 245146), (9240, 8971), (999, 1998), (12005, 15798), (8717, 9984), (4512, 499), (7314, (499, 0)), (2997, (609, 2))),
+    ((3403, 789, 0, 3), (2189, 879, 1, 4), (6635, 789, 0, 3), (19581, 19536), (2119, 2100), (299, 598), (2810, 3840), (2158, 2596), (1130, 4), (1930, (4, 0)), (598, (5, 1))),
+    ((7193, 2246, 0, 4), (4799, 2229, 7, 5), (11816, 2246, 0, 4), (22678, 22683), (2346, 2293), (299, 598), (2847, 3840), (2202, 2596), (1376, 508), (3332, (508, 0)), (299, (429, 0))),
+    ((12187, 2117, 0, 4), (8795, 2369, 6, 4), (19096, 2117, 0, 4), (220176, 220049), (8899, 8857), (999, 1998), (11731, 15798), (8412, 9984), (3838, 3), (7472, (3, 0)), (3996, (6, 3))),
+    ((30999, 9059, 0, 5), (20402, 9271, 20, 7), (49063, 9059, 0, 5), (245147, 245146), (9240, 8971), (999, 1998), (12005, 15798), (8717, 9984), (4512, 499), (7314, (499, 0)), (2997, (609, 2))),
 ]
 
 
-def test_counts_pinned_every_algorithm():
-    """Every sorter, strategy and selector charges its recorded schedule."""
+# partition_sort's cells of PINNED_COUNTS rows as they were before the run
+# scan, which RUN_CAP = 1 restores (a scan that stops at the first
+# descent).  Only these rows differ: none of the battery's inputs above
+# MERGE_SEGMENT has few runs, so the longer scan only adds tests.
+PINNED_PSORT_CAP1 = {
+    12: ((3295, 789, 0, 3), (2005, 879, 1, 4), (6527, 789, 0, 3)),
+    13: ((6981, 2246, 0, 4), (4621, 2229, 7, 5), (11604, 2246, 0, 4)),
+    14: ((12000, 2117, 0, 4), (8520, 2369, 6, 4), (18909, 2117, 0, 4)),
+    15: ((30551, 9059, 0, 5), (19764, 9271, 20, 7), (48615, 9059, 0, 5)),
+}
+
+
+def battery_counts():
+    """(input, its PINNED_COUNTS row as charged now) for every battery input."""
     rng = random.Random(1234)
-    for s, want in zip(_battery(rng), PINNED_COUNTS, strict=True):
+    for s in _battery(rng):
         got = []
         for strategy in STRATEGIES:
             out = partition_sort(s, strategy, Meter())
@@ -874,7 +983,24 @@ def test_counts_pinned_every_algorithm():
                 got.append((m.comparisons, result))
             else:
                 got.append(None)
-        assert tuple(got) == want, s
+        yield s, tuple(got)
+
+
+def test_counts_pinned_every_algorithm():
+    """Every sorter, strategy and selector charges its recorded schedule."""
+    for (s, got), want in zip(battery_counts(), PINNED_COUNTS, strict=True):
+        assert got == want, s
+
+
+def test_run_cap_1_gives_the_first_descent_counts(monkeypatch):
+    """With RUN_CAP = 1 the run scan is the first-descent scan, so the
+    counts are those from before it: the README figures and PINNED_COUNTS
+    with the cap-1 psort cells."""
+    monkeypatch.setattr(sorters, "RUN_CAP", 1)
+    for i, ((s, got), want) in enumerate(zip(battery_counts(), PINNED_COUNTS, strict=True)):
+        assert got == (*PINNED_PSORT_CAP1.get(i, want[:3]), *want[3:]), s
+    out = partition_sort(generate(GenSpec("displacement", 100000, k=64, seed=7)), exact_median(), Meter())
+    assert (out.comparisons, out.moves, out.max_recursion_depth) == (6343915, 1106717, 12)
 
 
 # -- charges against the tests actually executed ---------------------------------
@@ -1115,7 +1241,7 @@ def test_readme_example_counts_pinned():
     """The README's `presort sort --algo psort --pivot median` figures."""
     s = generate(GenSpec("displacement", 100000, k=64, seed=7))
     out = partition_sort(s, exact_median(), Meter())
-    assert out.comparisons == 6343915
-    assert out.moves == 1106717
-    assert out.max_recursion_depth == 12
+    assert out.comparisons == 3959865
+    assert out.moves == 988192
+    assert out.max_recursion_depth == 7
     assert out.output.keys() == sorted(s.keys())
