@@ -16,17 +16,17 @@ cut set S.  With the prefix sums 0 = s_0 < ... < s_k = n of the parts,
 beta_0 = 1 and beta_j = sum over i < j of (-1)^(j-i-1) * C(s_j, s_i) *
 beta_i, and beta_n(S) = beta_k (the determinant formula of Stanley,
 Enumerative Combinatorics I, section 2.2).
+
+A CensusRow is a named tuple: immutable, and compared as a tuple.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import permutations
 
-from .core import Meter
-from .measures import _check_sizes
+from .core import Meter, _check_sizes
 from .sorters import SMALL_SEGMENT, PivotStrategy, _charge_psort
 
 # Counting a census runs one O(k^2) recursion for each of the 2^(n-1) cut
@@ -38,18 +38,14 @@ MAX_CENSUS_N = 10
 MAX_WORST_CASE_N = SMALL_SEGMENT
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(namedtuple("CensusRow", "sizes nu count_bound info_bits")):
     """One sorted type: its class size and the bounds attached to it.
 
     count_bound is the counting lower bound multinomial/k! on nu, and
     info_bits is ceil(log2 nu).
     """
 
-    sizes: tuple[int, ...]
-    nu: int
-    count_bound: float
-    info_bits: int
+    __slots__ = ()
 
 
 def type_count_lower_bound(n: int, sizes) -> float:

@@ -5,6 +5,8 @@ seeds; rerunning produces identical bytes (the bench elapsed_ns column is
 the one timing-dependent exception, and --no-time zeroes it).  Exit codes,
 all chosen in main: 0 success; 1 bad flag or parameter; 2 unreadable or
 malformed input, or unwritable output; 3 output failed verification.
+Only core and sorters load with this module, for parsing and sort; each
+other handler imports the modules it runs, so a command pays for its own.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from functools import partial
 from operator import itemgetter
 from typing import Optional
 
-from .census import MAX_CENSUS_N, MAX_WORST_CASE_N, census_worst_cases, enumerate_census
 from .core import (
     _KEY,
+    FAMILIES,
     Meter,
     Sequence,
     SequenceFormatError,
@@ -27,8 +29,6 @@ from .core import (
     load_sequence,
     verify_sorted_stable_permutation,
 )
-from .generators import FAMILIES, GenSpec, generate
-from .measures import Profile, decompose_maximal, entropy, entropy_bound, profile
 from .sorters import (
     _check_window,
     PIVOT_KINDS,
@@ -132,7 +132,7 @@ def _fmt_sizes(sizes) -> str:
     return "-".join(str(b) for b in sizes)
 
 
-def _profile_fields(p: Profile) -> list[tuple[str, str]]:
+def _profile_fields(p) -> list[tuple[str, str]]:
     """The nine profile fields as (key=value name, formatted value), in
     PROFILE_HEADER's column order."""
     return [
@@ -148,8 +148,9 @@ def _profile_fields(p: Profile) -> list[tuple[str, str]]:
     ]
 
 
-def _bench_spec(family: str, n: int, args, seed: int) -> tuple[GenSpec, str]:
+def _bench_spec(family: str, n: int, args, seed: int) -> tuple:
     """The GenSpec of one bench trial and its param column."""
+    from .generators import GenSpec
     if family == "displacement":
         if args.k is None:
             raise ValueError("displacement family needs --k")
@@ -194,6 +195,7 @@ def _open_out(path: Optional[str]):
 
 
 def cmd_gen(args) -> None:
+    from .generators import GenSpec, generate
     spec = GenSpec(args.family, args.n, k=args.k, sizes=args.sizes, h=args.h, seed=args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
         dump_sequence(generate(spec), fh, header=f"family={spec.family} n={spec.n} seed={spec.seed}")
@@ -201,6 +203,7 @@ def cmd_gen(args) -> None:
 
 
 def cmd_measure(args) -> None:
+    from .measures import profile
     fields = _profile_fields(profile(load_sequence(args.infile)))
     if args.csv:
         lines = [PROFILE_HEADER, ",".join(value for _, value in fields)]
@@ -229,6 +232,8 @@ def cmd_sort(args) -> None:
 
 
 def cmd_bench(args) -> None:
+    from .generators import generate
+    from .measures import decompose_maximal, entropy, entropy_bound
     for family in args.families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
@@ -271,6 +276,7 @@ def cmd_bench(args) -> None:
 
 
 def cmd_census(args) -> None:
+    from .census import MAX_CENSUS_N, MAX_WORST_CASE_N, census_worst_cases, enumerate_census
     what, top = ("census --worstcase", MAX_WORST_CASE_N) if args.worstcase else ("census", MAX_CENSUS_N)
     if not 1 <= args.n <= top:
         raise ValueError(f"{what} supports 1 <= n <= {top}, got {args.n}")

@@ -19,6 +19,9 @@ from typing import Iterable, Optional, Union
 KEY_MIN = -(2**63)
 KEY_MAX = 2**63 - 1
 
+# The generator families, here so that the CLI can offer them without loading generators.
+FAMILIES = ("sorted", "reverse", "random", "displacement", "transpose", "sorted-type", "multiset")
+
 
 class Sequence:
     """An immutable run of (key, tag) items, held as a key and a tag column.
@@ -104,6 +107,17 @@ class Meter:
             prev = k
         self.comparisons += max(len(keys) - 1, 0)
         return -1
+
+
+def _check_sizes(sizes, n: int) -> list[int]:
+    sizes = list(sizes)
+    if not sizes:
+        raise ValueError("empty block-size list")
+    if any(b <= 0 for b in sizes):
+        raise ValueError(f"block sizes must be positive: {sizes}")
+    if sum(sizes) != n:
+        raise ValueError(f"block sizes sum to {sum(sizes)}, expected n={n}")
+    return sizes
 
 
 def sorted_check(s: Sequence, m: Meter) -> bool:

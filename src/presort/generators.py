@@ -12,18 +12,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
-from .core import Sequence
-from .measures import _check_sizes
+from .core import FAMILIES, Sequence, _check_sizes
 
-FAMILIES = (
-    "sorted",
-    "reverse",
-    "random",
-    "displacement",
-    "transpose",
-    "sorted-type",
-    "multiset",
-)
 
 @dataclass(frozen=True)
 class GenSpec:

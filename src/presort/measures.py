@@ -5,22 +5,22 @@ subsequences whose keys are contiguous in sorted order.  Its block-size
 multiset is the canonical "sorted type" of the input; the entropy of that
 multiset gives a per-input comparison budget that the adaptive sorters are
 tested against.  Classical measures (inversions, max displacement, run
-count) ride along for cross-checks.
+count) ride along for cross-checks.  Decomposition and Profile are named
+tuples: immutable, and equal to any tuple with the same fields in order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count, islice
 from operator import gt, ne, sub
 from typing import Optional
 
-from .core import Sequence
+from .core import Sequence, _check_sizes
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "blocks sizes")):
     """Maximal sorted-subsequence decomposition of a sequence.
 
     blocks holds input positions, one tuple per block, in increasing rank
@@ -31,27 +31,26 @@ class Decomposition:
     makes each block maximal.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]
+    __slots__ = ()
 
     def size_multiset(self) -> tuple[int, ...]:
         """Canonical form: block sizes as a non-increasing tuple."""
         return tuple(sorted(self.sizes, reverse=True))
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Everything the measures module knows about one input."""
+class Profile(
+    namedtuple(
+        "Profile",
+        "n sizes block_count entropy bound inversions displacement runs distinct_keys",
+    )
+):
+    """Everything the measures module knows about one input.
 
-    n: int
-    sizes: tuple[int, ...]  # canonical non-increasing block-size multiset
-    block_count: int
-    entropy: float  # bits
-    bound: float  # adaptive comparison budget for this type
-    inversions: int
-    displacement: int
-    runs: int
-    distinct_keys: int
+    sizes is the canonical non-increasing block-size multiset, entropy is
+    in bits, and bound is the adaptive comparison budget for that type.
+    """
+
+    __slots__ = ()
 
 
 def _rank_order(s: Sequence) -> list[int]:
@@ -137,17 +136,6 @@ def count_runs(s: Sequence) -> int:
     if not keys:
         return 0
     return 1 + sum(map(gt, keys, islice(keys, 1, None)))
-
-
-def _check_sizes(sizes, n: int) -> list[int]:
-    sizes = list(sizes)
-    if not sizes:
-        raise ValueError("empty block-size list")
-    if any(b <= 0 for b in sizes):
-        raise ValueError(f"block sizes must be positive: {sizes}")
-    if sum(sizes) != n:
-        raise ValueError(f"block sizes sum to {sum(sizes)}, expected n={n}")
-    return sizes
 
 
 def entropy(sizes, n: int) -> float:

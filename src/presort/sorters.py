@@ -21,6 +21,8 @@ the tests hold them to what that loop executes.
 
 The sorters meter their keys alone, then route the items once with one
 stable sort of positions by key (blocked_sort routes window by window).
+PivotStrategy and SortOutcome are named tuples: immutable, and equal to
+any tuple with the same fields in the same order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count, islice
 from operator import gt
 
@@ -47,8 +49,8 @@ RUN_CAP = 16
 # falling back to the deterministic selector.
 RANDOM_MIDDLE_ATTEMPT_CAP = 64
 
-@dataclass(frozen=True)
-class PivotStrategy:
+
+class PivotStrategy(namedtuple("PivotStrategy", "kind seed")):
     """How partition_sort picks pivots.
 
     kind "median" finds the exact rank-ceil(n/2) key by rank-adaptive selection;
@@ -57,12 +59,16 @@ class PivotStrategy:
     Randomized kinds are reproducible from seed.
     """
 
-    kind: str
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in PIVOT_KINDS:
-            raise ValueError(f"unknown pivot kind {self.kind!r}, expected one of {PIVOT_KINDS}")
+    def __new__(cls, kind: str, seed: int = 0):
+        if kind not in PIVOT_KINDS:
+            raise ValueError(f"unknown pivot kind {kind!r}, expected one of {PIVOT_KINDS}")
+        return super().__new__(cls, kind, seed)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 def exact_median() -> PivotStrategy:
@@ -77,16 +83,16 @@ def floyd_rivest(seed: int = 0) -> PivotStrategy:
     return PivotStrategy("fr", seed)
 
 
-@dataclass(frozen=True)
-class SortOutcome:
+class SortOutcome(
+    namedtuple(
+        "SortOutcome",
+        "output comparisons moves pivot_retries max_recursion_depth is_sorted",
+        defaults=(0, 0, True),
+    )
+):
     """Result of one sorter run: the output plus its metered costs."""
 
-    output: Sequence
-    comparisons: int
-    moves: int
-    pivot_retries: int = 0
-    max_recursion_depth: int = 0
-    is_sorted: bool = True
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,15 @@ registry that the earlier criteria fill in.
 
 Tolerances are pinned here and only here:
   - criterion 2: per-element comparisons at n=2^16 within 1.25x of n=2^10.
-  - criterion 3: envelope constants are 1.5x the worst calibration ratio
-    at n=2^10 (headroom for the selection subroutine's growth with n,
-    which is capped by its own linear-envelope test); slope-fit residuals
-    within 15%.
+  - criteria 3 and 6: envelope constants c1 = 7.766 (exact-median
+    comparisons / entropy budget) and c2 = 5.531 (median over 30 seeds of
+    random-middle comparisons / budget), pinned as C1 and C2 below.  Each
+    is 1.5x the worst calibration ratio at n=2^10 as last pinned (headroom
+    for the selection subroutine's growth with n, which is capped by its
+    own linear-envelope test), rounded up in the third decimal; the
+    calibration is re-measured and printed, and must stay at or below
+    them.  Changing a literal is a re-pin and needs a stated reason.
+  - criterion 3: slope-fit residuals within 15%.
   - criterion 5: the counting lower bound and the information bound are
     both asserted on every class they apply to.
   - criterion 7: entropy sandwich checked with 1e-6 absolute slack.
@@ -52,6 +57,10 @@ PROFILES = []
 
 MEDIAN = PivotStrategy("median")
 
+# The pinned envelope constants of criteria 3 and 6 (see the docstring).
+C1 = 7.766
+C2 = 5.531
+
 
 @contextmanager
 def gate(capsys, num):
@@ -74,12 +83,13 @@ def ref_sort(seq):
 
 @pytest.fixture(scope="session")
 def calibration():
-    """Envelope constants measured once at n=2^10 and never re-fit.
+    """The calibration reading behind C1 and C2, measured at n=2^10.
 
-    c1 bounds exact-median comparisons / entropy budget; c2 bounds the
-    median over 30 pivot seeds of random-middle comparisons / budget.
+    1.5x the worst exact-median comparisons / entropy budget, and 1.5x the
+    worst median over 30 pivot seeds of random-middle comparisons / budget.
     The 1.5x headroom absorbs the median-selection constant's drift as n
     grows (its absolute cap is enforced separately in the sorter tests).
+    Criterion 3 prints it and holds it to the pinned literals.
     """
     n = 1 << 10
     worst_c1 = 0.0
@@ -160,6 +170,7 @@ def test_criterion_3_entropy_envelope(capsys, calibration):
     with gate(capsys, 3) as g:
         t0 = time.perf_counter()
         c1, c2 = calibration
+        assert c1 <= C1 and c2 <= C2, ("calibration above the pinned constants", c1, c2)
         n = 1 << 16
         fit_x, fit_y = [], []
         for k in (2, 4, 16, 256):
@@ -168,12 +179,12 @@ def test_criterion_3_entropy_envelope(capsys, calibration):
             PROFILES.append(prof)
             bound = prof.bound
             out = partition_sort(seq, MEDIAN, Meter())
-            assert out.comparisons <= c1 * bound, (k, out.comparisons / bound, c1)
+            assert out.comparisons <= C1 * bound, (k, out.comparisons / bound, C1)
             median_cmp = statistics.median(
                 partition_sort(seq, PivotStrategy("randmid", s), Meter()).comparisons
                 for s in range(30)
             )
-            assert median_cmp <= c2 * bound, (k, median_cmp / bound, c2)
+            assert median_cmp <= C2 * bound, (k, median_cmp / bound, C2)
             fit_x.append(math.log2(k))
             fit_y.append(out.comparisons)
         # comparisons must grow no faster than linearly in log k
@@ -187,7 +198,8 @@ def test_criterion_3_entropy_envelope(capsys, calibration):
         assert max_resid <= 0.15, f"linear fit in log k off by {max_resid:.1%}"
         elapsed = time.perf_counter() - t0
         g["note"] = (
-            f"c1={c1:.2f} c2={c2:.2f} hold at n=2^16 for k in (2,4,16,256); "
+            f"c1={C1} c2={C2} hold at n=2^16 for k in (2,4,16,256) "
+            f"(calibration reads {c1:.4f} {c2:.4f}); "
             f"log-k fit residual {max_resid:.1%} <= 15%"
         )
         assert elapsed < 120.0, f"budget 120s exceeded: {elapsed:.1f}s"
@@ -247,23 +259,22 @@ def test_criterion_5_census(capsys):
         assert elapsed < 120.0, f"budget 120s exceeded: {elapsed:.1f}s"
 
 
-def test_criterion_6_multiset_budget(capsys, calibration):
+def test_criterion_6_multiset_budget(capsys):
     with gate(capsys, 6) as g:
         t0 = time.perf_counter()
-        c1, _ = calibration
         n = 100_000
         ratios = {}
         for h in (1, 2, 4, 16):
             seq = generate(GenSpec("multiset", n, h=h, seed=60 + h))
             PROFILES.append(profile(seq))
-            budget = c1 * (n * math.log2(h + 1) + n)
+            budget = C1 * (n * math.log2(h + 1) + n)
             out = partition_sort(seq, MEDIAN, Meter())
             assert out.comparisons <= budget, (h, out.comparisons, budget)
             assert verify_sorted_stable_permutation(seq, out.output)
             assert out.output == ref_sort(seq)  # stability, tagged duplicates
             ratios[h] = out.comparisons / (n * math.log2(h + 1) + n)
         elapsed = time.perf_counter() - t0
-        g["note"] = ("exact-median cmp <= c1*(n log2(h+1)+n) at n=10^5, ratios " +
+        g["note"] = (f"exact-median cmp <= {C1}*(n log2(h+1)+n) at n=10^5, ratios " +
                      " ".join(f"h={h}:{r:.2f}" for h, r in ratios.items()))
         assert elapsed < 10.0, f"budget 10s exceeded: {elapsed:.1f}s"
 

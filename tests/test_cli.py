@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presort import cli
+from presort import census, cli, generators
 from presort.census import MAX_WORST_CASE_N
 from presort.cli import BENCH_HEADER, CENSUS_HEADER, main
 from presort.core import load_sequence
@@ -72,7 +72,7 @@ def test_gen_unwritable_out_exits_before_generating(tmp_path, capsys, monkeypatc
     def no_generate(spec):
         raise AssertionError(f"generated {spec} before opening --out")
 
-    monkeypatch.setattr(cli, "generate", no_generate)
+    monkeypatch.setattr(generators, "generate", no_generate)
     out = tmp_path / "missing" / "x.txt"
     code, stdout, err = run(capsys, "gen", "--family", "random", "--n", "1000000", "--out", str(out))
     assert code == 2
@@ -495,7 +495,7 @@ def test_bench_unwritable_out_exits_before_generating(tmp_path, capsys, monkeypa
     def no_generate(spec):
         raise AssertionError(f"generated {spec} before opening --out")
 
-    monkeypatch.setattr(cli, "generate", no_generate)
+    monkeypatch.setattr(generators, "generate", no_generate)
     argv = ["bench", "--families", "sorted", "--sizes", "8", "--algos", "insertion"]
     code, stdout, err = run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2
@@ -626,8 +626,8 @@ def test_census_checks_before_enumerating_or_sweeping(tmp_path, capsys, monkeypa
     def no_work(*args):
         raise AssertionError("census work began before its checks")
 
-    monkeypatch.setattr(cli, "enumerate_census", no_work)
-    monkeypatch.setattr(cli, "census_worst_cases", no_work)
+    monkeypatch.setattr(census, "enumerate_census", no_work)
+    monkeypatch.setattr(census, "census_worst_cases", no_work)
     out = tmp_path / "c.csv"
     out.write_bytes(b"earlier bytes\n")
     n = str(MAX_WORST_CASE_N + 1)
