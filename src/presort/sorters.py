@@ -37,12 +37,15 @@ from operator import gt
 from .core import Meter, Sequence
 
 # Unsorted segments at or below SMALL_SEGMENT are finished with insertion
-# sort, and the rest up to MERGE_SEGMENT with one natural merge, instead of
-# partitioning further.  Floyd-Rivest selection sorts its keys outright at
-# MERGE_SEGMENT or fewer.  A longer segment of at most RUN_CAP natural runs
-# is merged once instead of split around a pivot.
+# sort, and the rest up to MERGE_SEGMENT with one natural merge from a
+# single run scan, instead of partitioning further.  A longer segment of at
+# most RUN_CAP natural runs is merged once instead of split around a pivot.
+# Floyd-Rivest selection sorts its keys outright at MERGE_SEGMENT or fewer
+# and samples at least MERGE_SEGMENT // 2 of them.  MERGE_SEGMENT = 256 is
+# the largest leaf, of 128 to 512 keys, with which no bench family and no
+# saw-tooth input costs more than 0.05*B above a 64-key leaf.
 SMALL_SEGMENT = 8
-MERGE_SEGMENT = 64
+MERGE_SEGMENT = 256
 RUN_CAP = 16
 
 # Sampling attempts select_random_middle makes before giving up and
@@ -254,15 +257,6 @@ def _merge_runs_at(keys: list[int], starts: list[int], m: Meter) -> None:
     m.moves += _merge_keys([keys[a:b] for a, b in zip(bounds, islice(bounds, 1, None))], m)[1]
 
 
-def _natural_merge_keys(keys: list[int], m: Meter) -> None:
-    """Charge a stable natural merge sort of keys, which has n >= 1 keys.
-
-    Finds the non-decreasing runs with n-1 charged tests, then charges
-    _merge_keys on the runs, moves included.
-    """
-    _merge_runs_at(keys, _run_starts(keys, len(keys), m), m)
-
-
 def _insertion_keys(keys: list[int], m: Meter) -> None:
     """Charge a stable insertion sort of keys.
 
@@ -391,14 +385,16 @@ def _randmid_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, 
 def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
     """Key of rank ceil(n/2) by sampling selection; returns (key, bracket_misses).
 
-    Sorts a random n^(2/3)-size sample, picks two sample keys that bracket
-    the target rank with high probability, and splits the input against
-    them: most elements cost one comparison, the rest two.  One call on a
-    random permutation measured 2.39n comparisons in all at n = 65536,
-    2.27n at n = 100000 and 6.6n at n = 1000.  A missed bracket recurses
-    on the big side (counted in the second return value); a degenerate
-    split falls back to the deterministic selector, so the result always
-    equals the true rank-ceil(n/2) key.
+    Sorts a random sample of n^(2/3), but at least MERGE_SEGMENT // 2,
+    keys, picks two sample keys that bracket the target rank with high
+    probability, and splits the input against them: most elements cost one
+    comparison, the rest two.  At most MERGE_SEGMENT keys are sorted
+    outright.  One call on a random permutation measured 2.36n comparisons
+    in all at n = 65536, 2.24n at n = 100000 and 5.4n at n = 1000 (median
+    of five seeds).  A missed bracket recurses on the big side (counted in
+    the second return value); a degenerate split falls back to the
+    deterministic selector, so the result always equals the true
+    rank-ceil(n/2) key.
     """
     k = (len(keys) + 1) // 2
     misses = 0
@@ -483,7 +479,8 @@ def natural_merge_sort(s: Sequence, m: Meter) -> SortOutcome:
     """
     c0, v0 = m.comparisons, m.moves
     if s.n:
-        _natural_merge_keys(s.keys(), m)
+        keys = s.keys()
+        _merge_runs_at(keys, _run_starts(keys, len(keys), m), m)
     return _outcome(s, m, c0, v0)
 
 
@@ -491,16 +488,15 @@ def _psort(keys: list[int], select, rng, m: Meter, depth: int) -> tuple[int, int
     """Charge sorting one segment's keys at recursion level depth; returns
     the pivot retries and the deepest level reached."""
     n = len(keys)
-    if n <= MERGE_SEGMENT:
-        if m.first_descent(keys) < 0:
-            return 0, depth
-        if n <= SMALL_SEGMENT:
+    if n <= SMALL_SEGMENT:
+        if m.first_descent(keys) >= 0:
             _insertion_keys(keys, m)
-        else:
-            _natural_merge_keys(keys, m)
         return 0, depth
-    starts = _run_starts(keys, RUN_CAP, m)
-    if len(starts) < RUN_CAP:
+    # A leaf of n keys has at most n - 1 descents, so its scan never stops
+    # early and the leaf always merges.
+    cap = n if n <= MERGE_SEGMENT else RUN_CAP
+    starts = _run_starts(keys, cap, m)
+    if len(starts) < cap:
         if starts:
             _merge_runs_at(keys, starts, m)
         return 0, depth
@@ -527,30 +523,31 @@ def _charge_psort(keys: list[int], strategy: PivotStrategy, m: Meter) -> tuple[i
 def partition_sort(s: Sequence, strategy: PivotStrategy, m: Meter) -> SortOutcome:
     """Stable adaptive partition sort.
 
-    Every level, top call included, starts with a sortedness scan and
-    returns immediately when the segment is already in order, so a sorted
-    input of length n costs exactly n-1 comparisons.  An unsorted segment
-    of at most SMALL_SEGMENT keys is insertion-sorted, and one of at most
-    MERGE_SEGMENT keys is merge-sorted from its natural runs, charged as
-    natural_merge_sort (its run scan re-tests the pairs the is-sorted scan
-    passed).  On a longer segment the scan goes on past the first descent
-    until it has found RUN_CAP of them, charging every pair it examines.
-    A segment of at most RUN_CAP runs is merged once from the run starts
-    the scan found, each pair tested once.  The others pick a pivot per
-    the strategy, split stably three ways, and recurse on the outer parts;
-    duplicates of the pivot are done the moment they land in the middle.
-    Comparisons spent finding and verifying pivots are charged like any
-    others.  The recursion runs on keys (_charge_psort); _outcome routes
-    the items once.
+    Every level, top call included, starts with a run scan and returns
+    immediately when the segment is already in order, so a sorted input of
+    length n costs exactly n-1 comparisons.  A segment of at most
+    SMALL_SEGMENT keys stops its scan at the first descent and is
+    insertion-sorted.  A longer one of at most MERGE_SEGMENT keys scans
+    every pair once and is merged from the run starts it found, charged as
+    natural_merge_sort.  Above MERGE_SEGMENT keys the scan goes on until it
+    has found RUN_CAP descents, charging every pair it examines.  A segment of
+    at most RUN_CAP runs is merged once from the run starts the scan found,
+    each pair tested once.  The others pick a pivot per the strategy, split
+    stably three ways, and recurse on the outer parts; duplicates of the
+    pivot are done the moment they land in the middle.  Comparisons spent
+    finding and verifying pivots are charged like any others.  The
+    recursion runs on keys (_charge_psort); _outcome routes the items once.
 
-    What the run scan adds is O(B), B the budget of
-    measures.entropy_bound.  On a segment that splits, it costs at most
-    n-1, less than the split's n or more tests.  A merged segment of R <=
-    RUN_CAP runs costs its n-1 scan plus at most n*ceil(log2 R) merge
-    tests; merged segments are disjoint, so all merges together cost at
-    most (ceil(log2 RUN_CAP) + 1)*n.  And B >= 2n, since each block of b
-    keys adds b*log2(n/b + 1) >= b to the n term, so the merges add at
-    most (ceil(log2 RUN_CAP) + 1)/2 times B.
+    What the scans and leaves add is O(B), B the budget of
+    measures.entropy_bound.  On a segment that splits, the scan costs at
+    most n-1, less than the split's n or more tests.  A merged segment of R
+    runs costs its n-1 scan plus at most n*ceil(log2 R) merge tests, with
+    R <= RUN_CAP above the leaf and R <= n <= MERGE_SEGMENT in a leaf; an
+    insertion leaf of at most SMALL_SEGMENT keys costs fewer than 5 tests
+    per key.  Finished segments are disjoint, so together they cost at most
+    (ceil(log2 MERGE_SEGMENT) + 1)*n.  And B >= 2n, since each block of b
+    keys adds b*log2(n/b + 1) >= b to the n term, so the leaves and merges
+    add at most (ceil(log2 MERGE_SEGMENT) + 1)/2 = 4.5 times B.
     """
     c0, v0 = m.comparisons, m.moves
     return _outcome(s, m, c0, v0, *_charge_psort(s.columns()[0], strategy, m))

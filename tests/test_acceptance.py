@@ -8,8 +8,8 @@ registry that the earlier criteria fill in.
 
 Tolerances are pinned here and only here:
   - criterion 2: per-element comparisons at n=2^16 within 1.25x of n=2^10.
-  - criteria 3 and 6: envelope constants c1 = 7.766 (exact-median
-    comparisons / entropy budget) and c2 = 5.531 (median over 30 seeds of
+  - criteria 3 and 6: envelope constants c1 = 6.320 (exact-median
+    comparisons / entropy budget) and c2 = 4.805 (median over 30 seeds of
     random-middle comparisons / budget), pinned as C1 and C2 below.  Each
     is 1.5x the worst calibration ratio at n=2^10 as last pinned (headroom
     for the selection subroutine's growth with n, which is capped by its
@@ -42,6 +42,7 @@ from presort.measures import (
     profile,
 )
 from presort.sorters import (
+    MERGE_SEGMENT,
     PivotStrategy,
     blocked_sort,
     insertion_sort,
@@ -58,8 +59,8 @@ PROFILES = []
 MEDIAN = PivotStrategy("median")
 
 # The pinned envelope constants of criteria 3 and 6 (see the docstring).
-C1 = 7.766
-C2 = 5.531
+C1 = 6.320
+C2 = 4.805
 
 
 @contextmanager
@@ -113,10 +114,12 @@ def test_criterion_1_correctness_oracle(capsys):
         rng = random.Random(20260819)
         strategies = [MEDIAN, PivotStrategy("randmid", 11), PivotStrategy("fr", 11)]
         cases = 10_000
+        selected = 0
         for case in range(cases):
             # One case in ten is longer than the merge leaf, so it selects
-            # pivots and partitions.
-            n = rng.randint(65, 300) if case % 10 == 9 else rng.randint(0, 64)
+            # pivots and partitions; the rest are leaves.
+            long = case % 10 == 9
+            n = rng.randint(MERGE_SEGMENT + 1, 2 * MERGE_SEGMENT) if long else rng.randint(0, MERGE_SEGMENT)
             span = rng.choice((2, 8, 1 << 20))
             keys = [rng.randint(0, span) for _ in range(n)]
             seq = Sequence.from_keys(keys)
@@ -127,6 +130,8 @@ def test_criterion_1_correctness_oracle(capsys):
                 out = partition_sort(seq, strategy, Meter())
                 assert verify_sorted_stable_permutation(seq, out.output)
                 assert out.output == reference  # bit-for-bit
+                assert (out.max_recursion_depth > 1) == long, (n, strategy)
+                selected += long
             for alg in (insertion_sort, natural_merge_sort):
                 out = alg(seq, Meter())
                 assert verify_sorted_stable_permutation(seq, out.output)
@@ -136,7 +141,8 @@ def test_criterion_1_correctness_oracle(capsys):
                 assert out.is_sorted
                 assert verify_sorted_stable_permutation(seq, out.output)
         elapsed = time.perf_counter() - t0
-        g["note"] = f"{cases} inputs x 6 sorters verified, psort bit-exact vs reference"
+        g["note"] = (f"{cases} inputs x 6 sorters verified, psort bit-exact vs reference, "
+                     f"{selected} psort runs selected pivots")
         assert elapsed < 30.0, f"budget 30s exceeded: {elapsed:.1f}s"
 
 

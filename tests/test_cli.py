@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from presort import census, cli, generators
 from presort.census import MAX_WORST_CASE_N
 from presort.cli import BENCH_HEADER, CENSUS_HEADER, main
-from presort.core import load_sequence
+from presort.core import Meter, load_sequence
+from presort.generators import GenSpec, generate
 from presort.measures import decompose_maximal
-from presort.sorters import SMALL_SEGMENT
+from presort.sorters import MERGE_SEGMENT, PIVOT_KINDS, SMALL_SEGMENT, PivotStrategy, partition_sort
 
 from vectors import BLOCKS16
 
@@ -368,36 +369,36 @@ multiset,16,h=5,insertion,,0,60,58,52.512317,1.936278,1.142589,0
 multiset,16,h=5,insertion,,1,76,73,56.308254,2.227217,1.349713,0
 multiset,16,h=5,natmerge,,0,51,45,52.512317,1.936278,0.971201,0
 multiset,16,h=5,natmerge,,1,51,46,56.308254,2.227217,0.905729,0
-multiset,16,h=5,psort,fr,0,52,45,52.512317,1.936278,0.990244,0
-multiset,16,h=5,psort,median,0,52,45,52.512317,1.936278,0.990244,0
-multiset,16,h=5,psort,randmid,0,52,45,52.512317,1.936278,0.990244,0
-multiset,16,h=5,psort,fr,1,55,46,56.308254,2.227217,0.976766,0
-multiset,16,h=5,psort,median,1,55,46,56.308254,2.227217,0.976766,0
-multiset,16,h=5,psort,randmid,1,55,46,56.308254,2.227217,0.976766,0
+multiset,16,h=5,psort,fr,0,51,45,52.512317,1.936278,0.971201,0
+multiset,16,h=5,psort,median,0,51,45,52.512317,1.936278,0.971201,0
+multiset,16,h=5,psort,randmid,0,51,45,52.512317,1.936278,0.971201,0
+multiset,16,h=5,psort,fr,1,51,46,56.308254,2.227217,0.905729,0
+multiset,16,h=5,psort,median,1,51,46,56.308254,2.227217,0.905729,0
+multiset,16,h=5,psort,randmid,1,51,46,56.308254,2.227217,0.905729,0
 sorted-type,16,type=8-8,blocked,,0,46,80,41.359400,1.000000,1.112202,0
 sorted-type,16,type=8-8,blocked,,1,50,80,41.359400,1.000000,1.208915,0
 sorted-type,16,type=8-8,insertion,,0,47,41,41.359400,1.000000,1.136380,0
 sorted-type,16,type=8-8,insertion,,1,38,30,41.359400,1.000000,0.918775,0
 sorted-type,16,type=8-8,natmerge,,0,46,38,41.359400,1.000000,1.112202,0
 sorted-type,16,type=8-8,natmerge,,1,46,43,41.359400,1.000000,1.112202,0
-sorted-type,16,type=8-8,psort,fr,0,48,38,41.359400,1.000000,1.160558,0
-sorted-type,16,type=8-8,psort,median,0,48,38,41.359400,1.000000,1.160558,0
-sorted-type,16,type=8-8,psort,randmid,0,48,38,41.359400,1.000000,1.160558,0
-sorted-type,16,type=8-8,psort,fr,1,48,43,41.359400,1.000000,1.160558,0
-sorted-type,16,type=8-8,psort,median,1,48,43,41.359400,1.000000,1.160558,0
-sorted-type,16,type=8-8,psort,randmid,1,48,43,41.359400,1.000000,1.160558,0
+sorted-type,16,type=8-8,psort,fr,0,46,38,41.359400,1.000000,1.112202,0
+sorted-type,16,type=8-8,psort,median,0,46,38,41.359400,1.000000,1.112202,0
+sorted-type,16,type=8-8,psort,randmid,0,46,38,41.359400,1.000000,1.112202,0
+sorted-type,16,type=8-8,psort,fr,1,46,43,41.359400,1.000000,1.112202,0
+sorted-type,16,type=8-8,psort,median,1,46,43,41.359400,1.000000,1.112202,0
+sorted-type,16,type=8-8,psort,randmid,1,46,43,41.359400,1.000000,1.112202,0
 transpose,16,,blocked,,0,40,80,41.359400,1.000000,0.967132,0
 transpose,16,,blocked,,1,40,80,41.359400,1.000000,0.967132,0
 transpose,16,,insertion,,0,78,72,41.359400,1.000000,1.885907,0
 transpose,16,,insertion,,1,78,72,41.359400,1.000000,1.885907,0
 transpose,16,,natmerge,,0,23,16,41.359400,1.000000,0.556101,0
 transpose,16,,natmerge,,1,23,16,41.359400,1.000000,0.556101,0
-transpose,16,,psort,fr,0,31,16,41.359400,1.000000,0.749527,0
-transpose,16,,psort,median,0,31,16,41.359400,1.000000,0.749527,0
-transpose,16,,psort,randmid,0,31,16,41.359400,1.000000,0.749527,0
-transpose,16,,psort,fr,1,31,16,41.359400,1.000000,0.749527,0
-transpose,16,,psort,median,1,31,16,41.359400,1.000000,0.749527,0
-transpose,16,,psort,randmid,1,31,16,41.359400,1.000000,0.749527,0
+transpose,16,,psort,fr,0,23,16,41.359400,1.000000,0.556101,0
+transpose,16,,psort,median,0,23,16,41.359400,1.000000,0.556101,0
+transpose,16,,psort,randmid,0,23,16,41.359400,1.000000,0.556101,0
+transpose,16,,psort,fr,1,23,16,41.359400,1.000000,0.556101,0
+transpose,16,,psort,median,1,23,16,41.359400,1.000000,0.556101,0
+transpose,16,,psort,randmid,1,23,16,41.359400,1.000000,0.556101,0
 """
 
 
@@ -432,31 +433,37 @@ def test_bench_failed_verification_still_writes_the_csv(tmp_path, capsys):
     assert err == "presort bench: output failed verification in row multiset,16,h=5,blocked,,0\n"
 
 
-# At n = 16 every psort segment is a merge leaf.  At n = 256 each pivot
-# kind selects on random keys, so its selection's comparisons show in the
-# rows; displacement (at most 16 runs here) and transpose (two) are one
-# merge after the run scan under every kind.
-BENCH_256_GOLDEN = """\
+# At n = 16 every psort segment is a merge leaf, charged as natmerge.  At
+# n = 1024, above the leaf, each pivot kind selects on random keys and on
+# displacement (32 runs here, more than RUN_CAP), so selection's
+# comparisons show in those rows; transpose (two runs) is one merge after
+# the run scan under every kind.
+BENCH_1024_GOLDEN = """\
 family,n,param,algo,pivot,seed,comparisons,moves,bound_B,entropy_H,ratio,elapsed_ns
-displacement,256,k=16,psort,fr,0,890,1018,1063.241839,2.974385,0.837063,0
-displacement,256,k=16,psort,median,0,890,1018,1063.241839,2.974385,0.837063,0
-displacement,256,k=16,psort,randmid,0,890,1018,1063.241839,2.974385,0.837063,0
-random,256,,psort,fr,0,7795,1814,2027.366452,6.906436,3.844890,0
-random,256,,psort,median,0,4965,1814,2027.366452,6.906436,2.448990,0
-random,256,,psort,randmid,0,3645,1880,2027.366452,6.906436,1.797899,0
-transpose,256,,psort,fr,0,383,256,661.750400,1.000000,0.578768,0
-transpose,256,,psort,median,0,383,256,661.750400,1.000000,0.578768,0
-transpose,256,,psort,randmid,0,383,256,661.750400,1.000000,0.578768,0
+displacement,1024,k=16,psort,fr,0,15087,5600,6093.901445,4.902565,2.475754,0
+displacement,1024,k=16,psort,median,0,12353,5600,6093.901445,4.902565,2.027109,0
+displacement,1024,k=16,psort,randmid,0,12792,5342,6093.901445,4.902565,2.099148,0
+random,1024,,psort,fr,0,22874,9595,10103.755270,8.863538,2.263911,0
+random,1024,,psort,median,0,20643,9595,10103.755270,8.863538,2.043102,0
+random,1024,,psort,randmid,0,17352,9562,10103.755270,8.863538,1.717381,0
+transpose,1024,,psort,fr,0,1535,1024,2647.001601,1.000000,0.579901,0
+transpose,1024,,psort,median,0,1535,1024,2647.001601,1.000000,0.579901,0
+transpose,1024,,psort,randmid,0,1535,1024,2647.001601,1.000000,0.579901,0
 """
 
 
 def test_bench_golden_bytes_above_merge_leaf(capsys):
+    assert 1024 > MERGE_SEGMENT
+    for family, k in (("random", None), ("displacement", 16)):
+        s = generate(GenSpec(family, 1024, k=k, seed=0))
+        for kind in PIVOT_KINDS:
+            assert partition_sort(s, PivotStrategy(kind, 0), Meter()).max_recursion_depth > 1, (family, kind)
     code, stdout, _ = run(
-        capsys, "bench", "--families", "random,displacement,transpose", "--sizes", "256",
+        capsys, "bench", "--families", "random,displacement,transpose", "--sizes", "1024",
         "--algos", "psort-median,psort-randmid,psort-fr", "--trials", "1", "--k", "16", "--no-time",
     )
     assert code == 0
-    assert stdout == BENCH_256_GOLDEN
+    assert stdout == BENCH_1024_GOLDEN
 
 
 def test_bench_usage_errors(tmp_path, capsys):

@@ -214,22 +214,21 @@ def psort_reference(items, select, rng, m, depth=1):
     """Per-item reference for partition_sort: (sorted items, retries, depth).
 
     The same scans, leaf sizes and selector, with every item routed at
-    every level: by insertion_reference, by merge_runs on the natural runs
-    (after an n-1 test run scan on a leaf), and by partition3_reference.
-    A segment above MERGE_SEGMENT scans for sorters.RUN_CAP descents and
-    is merged on the runs it found when it has at most RUN_CAP runs.
+    every level: by insertion_reference, by merge_runs on the natural runs,
+    and by partition3_reference.  A segment of at most SMALL_SEGMENT keys
+    stops its scan at the first descent and is insertion-sorted.  A longer
+    one of at most MERGE_SEGMENT keys scans every pair once and is merged;
+    above that the scan looks for sorters.RUN_CAP descents, and a segment
+    of at most RUN_CAP runs is merged on the runs it found.
     """
     keys = [it[0] for it in items]
     n = len(items)
-    if n <= MERGE_SEGMENT:
+    if n <= SMALL_SEGMENT:
         if m.first_descent(keys) < 0:
             return items, 0, depth
-        if n <= SMALL_SEGMENT:
-            return insertion_reference(items, m), 0, depth
-        m.comparisons += n - 1
-        return merge_runs(natural_runs(items), m), 0, depth
-    descents = run_scan_reference(keys, sorters.RUN_CAP, m)
-    if descents < sorters.RUN_CAP:
+        return insertion_reference(items, m), 0, depth
+    descents = run_scan_reference(keys, n if n <= MERGE_SEGMENT else sorters.RUN_CAP, m)
+    if n <= MERGE_SEGMENT or descents < sorters.RUN_CAP:
         return (merge_runs(natural_runs(items), m) if descents else items), 0, depth
     pivot, retries = select(keys, rng, m)
     lo, eq, hi = partition3_reference(items, pivot, m)
@@ -530,14 +529,15 @@ def test_psort_blocks_vector_sorts_to_baseline():
 
 
 def test_psort_half_swap_structure():
-    # n=256 is above the merge leaf, but has two runs: the scan reads all
-    # 255 pairs and one merge of 128 tests finishes it at depth 1
-    s = Sequence.from_keys([*range(129, 257), *range(1, 129)])
+    # n = 2h is above the merge leaf, but has two runs: the scan reads all
+    # 2h - 1 pairs and one merge of h tests finishes it at depth 1
+    h = MERGE_SEGMENT
+    s = Sequence.from_keys([*range(h + 1, 2 * h + 1), *range(1, h + 1)])
     out = partition_sort(s, PivotStrategy("median"), Meter())
     assert out.max_recursion_depth == 1
-    assert (out.comparisons, out.moves, out.pivot_retries) == (255 + 128, 256, 0)
+    assert (out.comparisons, out.moves, out.pivot_retries) == (2 * h - 1 + h, 2 * h, 0)
     assert out.output.keys() == sorted(s.keys())
-    budget = 256 * math.log2(3) + 256
+    budget = 2 * h * math.log2(3) + 2 * h
     assert out.comparisons <= 12 * budget
 
 
@@ -548,14 +548,14 @@ def test_psort_selects_only_above_the_merge_leaf(monkeypatch):
     spy_selectors(monkeypatch, lambda before, after: seen.append((len(before), count_runs(Sequence.from_keys(before)))))
     rng = random.Random(17)
     for trial in range(40):
-        n = rng.randint(0, 600)
+        n = rng.randint(0, 10 * MERGE_SEGMENT)
         keys = rng.choices(range(rng.choice((3, 50, 10_000))), k=n)
         if trial % 4 == 3 and n > 2 * RUN_CAP:
             keys = saw_tooth(n, rng.randint(2, 2 * RUN_CAP), rng)
         s = Sequence.from_keys(keys)
         for strategy in STRATEGIES:
             assert partition_sort(s, strategy, Meter()).output == ref_sort(s)
-    assert seen and min(size for size, _ in seen) > MERGE_SEGMENT
+    assert len(seen) >= 100 and min(size for size, _ in seen) > MERGE_SEGMENT
     assert min(runs for _, runs in seen) > RUN_CAP
 
 
@@ -586,6 +586,25 @@ def test_psort_merges_a_few_run_segment_once(runs):
             assert got == (n - 1 + tests, ref.moves, 0, 1), (n, strategy)
 
 
+@given(
+    st.integers(SMALL_SEGMENT + 1, MERGE_SEGMENT).flatmap(lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)),
+    st.sampled_from(("as drawn", "sorted", "reversed")),
+)
+@settings(deadline=None)
+def test_psort_merge_leaf_tests_each_pair_once(keys, order):
+    """A leaf of SMALL_SEGMENT + 1 to MERGE_SEGMENT keys is charged its n-1
+    run scan once, plus what the per-test merge of its natural runs
+    executes on counting keys, at depth 1 under every pivot kind."""
+    if order != "as drawn":
+        keys = sorted(keys, reverse=order == "reversed")
+    ref = Meter()
+    _, tests = executed(merge_runs, natural_runs(counting_items(keys)), ref)
+    for strategy in STRATEGIES:
+        out = partition_sort(Sequence.from_keys(keys), strategy, Meter())
+        got = (out.comparisons, out.moves, out.pivot_retries, out.max_recursion_depth)
+        assert got == (len(keys) - 1 + tests, ref.moves, 0, 1), strategy
+
+
 def test_psort_merge_charge_within_proven_bound(monkeypatch):
     """Every segment the run scan merges, of n > MERGE_SEGMENT keys in
     R <= RUN_CAP runs, is charged at most (n-1) + n*ceil(log2 R): the scan,
@@ -603,7 +622,7 @@ def test_psort_merge_charge_within_proven_bound(monkeypatch):
         return retries, deepest
 
     monkeypatch.setattr(sorters, "_psort", spy)
-    inputs = [generate(GenSpec("transpose", n)) for n in (65, 256, 4097)]
+    inputs = [generate(GenSpec("transpose", n)) for n in (MERGE_SEGMENT + 1, 4 * MERGE_SEGMENT, 4097)]
     inputs += [Sequence.from_keys(saw_tooth(2048, r)) for r in range(2, RUN_CAP + 1)]
     inputs.append(generate(GenSpec("displacement", 100000, k=64, seed=7)))
     for s in inputs:
@@ -623,7 +642,7 @@ def test_selectors_leave_the_key_list_alone(monkeypatch):
     spy_selectors(monkeypatch, lambda before, after: unchanged.append(before == after))
     rng = random.Random(23)
     for trial in range(30):
-        n = rng.randint(65, 700)
+        n = rng.randint(MERGE_SEGMENT + 1, 3 * MERGE_SEGMENT)
         keys = rng.choices(range(rng.choice((2, 7, 10_000))), k=n)
         if trial % 3 == 1:
             keys.sort(reverse=True)
@@ -634,7 +653,7 @@ def test_selectors_leave_the_key_list_alone(monkeypatch):
 
 
 @given(
-    st.tuples(st.integers(0, 300), st.sampled_from((2, 8, 1000))).flatmap(
+    st.tuples(st.integers(0, 4 * MERGE_SEGMENT), st.sampled_from((2, 8, 1000))).flatmap(
         lambda na: st.lists(st.integers(0, na[1] - 1), min_size=na[0], max_size=na[0])
     ),
     st.sampled_from(("as drawn", "sorted", "reversed")),
@@ -657,7 +676,7 @@ def test_psort_matches_per_item_reference(keys, order):
 
 
 @given(
-    st.tuples(st.integers(0, 300), st.sampled_from((2, 8, 1000))).flatmap(
+    st.tuples(st.integers(0, 4 * MERGE_SEGMENT), st.sampled_from((2, 8, 1000))).flatmap(
         lambda na: st.lists(st.integers(0, na[1] - 1), min_size=na[0], max_size=na[0])
     ),
     st.integers(0, 9),
@@ -915,41 +934,43 @@ def _battery(rng):
 # Recorded while every kernel still had a one-call-per-test twin whose
 # count the bulk charge was asserted to equal, so these are the per-test
 # schedules.  The partition_sort columns were re-recorded when segments of
-# 9 to MERGE_SEGMENT keys became merge leaves, whose charge the counting
-# tests below hold to the per-test merge, and the cells that run
-# _select_kth_key when selection became rank-adaptive, whose charge they
-# hold to select_kth_reference.  The rows above MERGE_SEGMENT keys were
-# re-recorded when the run scan began to look for RUN_CAP descents; their
-# earlier cells are PINNED_PSORT_CAP1.
+# 9 to 64 keys became merge leaves, whose charge the counting tests below
+# hold to the per-test merge, and the cells that run _select_kth_key when
+# selection became rank-adaptive, whose charge they hold to
+# select_kth_reference.  The rows above 64 keys were re-recorded when the
+# run scan began to look for RUN_CAP descents, and the partition_sort
+# columns of every row with a leaf of 9 or more keys, and the Floyd-Rivest
+# selector cells above the leaf, again when a leaf became one run scan and
+# its merge and MERGE_SEGMENT rose to 256.
 PINNED_COUNTS = [
     ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0), (0, 0), None, None, None, None, None, None),
     ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 3), None, None),
     ((16, 0, 0, 1), (16, 0, 0, 1), (16, 0, 0, 1), (16, 0), (16, 0), (16, 32), (54, 94), (48, 81), (59, 8), (48, (8, 0)), (16, (10, 0))),
-    ((50, 81, 0, 1), (50, 81, 0, 1), (50, 81, 0, 1), (136, 152), (49, 81), (16, 32), (47, 94), (33, 81), (109, 9), (33, (9, 0)), (16, (7, 0))),
-    ((56, 48, 0, 1), (56, 48, 0, 1), (56, 48, 0, 1), (60, 62), (55, 48), (15, 30), (63, 88), (48, 64), (65, 39), (48, (39, 0)), (45, (56, 2))),
+    ((49, 81, 0, 1), (49, 81, 0, 1), (49, 81, 0, 1), (136, 152), (49, 81), (16, 32), (47, 94), (33, 81), (109, 9), (33, (9, 0)), (16, (7, 0))),
+    ((55, 48, 0, 1), (55, 48, 0, 1), (55, 48, 0, 1), (60, 62), (55, 48), (15, 30), (63, 88), (48, 64), (65, 39), (48, (39, 0)), (45, (56, 2))),
     ((10, 0, 0, 1), (10, 0, 0, 1), (10, 0, 0, 1), (10, 0), (10, 0), (10, 20), (27, 47), (23, 40), (32, 5), (23, (5, 0)), (672, (5, 64))),
     ((14, 13, 0, 1), (14, 13, 0, 1), (14, 13, 0, 1), (13, 13), (15, 14), (6, 12), (12, 21), (14, 20), (24, 5), (14, (5, 0)), (12, (3, 1))),
     ((21, 17, 0, 1), (21, 17, 0, 1), (21, 17, 0, 1), (18, 17), (16, 14), (6, 12), (11, 21), (12, 20), (50, 100), (12, (100, 0)), (12, (100, 1))),
-    ((94, 88, 0, 1), (94, 88, 0, 1), (94, 88, 0, 1), (155, 154), (93, 88), (23, 46), (101, 152), (85, 112), (108, 4), (85, (4, 0)), (23, (1, 0))),
-    ((97, 96, 0, 1), (97, 96, 0, 1), (97, 96, 0, 1), (189, 191), (96, 96), (23, 46), (97, 152), (81, 112), (142, 341), (81, (341, 0)), (92, (77, 3))),
-    ((206, 193, 0, 1), (206, 193, 0, 1), (206, 193, 0, 1), (385, 385), (205, 193), (40, 80), (221, 313), (177, 234), (166, 3), (177, (3, 0)), (40, (3, 0))),
-    ((198, 190, 0, 1), (198, 190, 0, 1), (198, 190, 0, 1), (468, 471), (196, 190), (40, 80), (216, 313), (180, 234), (216, 518), (180, (518, 0)), (80, (812, 1))),
-    ((3403, 789, 0, 3), (2189, 879, 1, 4), (6635, 789, 0, 3), (19581, 19536), (2119, 2100), (299, 598), (2810, 3840), (2158, 2596), (1130, 4), (1930, (4, 0)), (598, (5, 1))),
-    ((7193, 2246, 0, 4), (4799, 2229, 7, 5), (11816, 2246, 0, 4), (22678, 22683), (2346, 2293), (299, 598), (2847, 3840), (2202, 2596), (1376, 508), (3332, (508, 0)), (299, (429, 0))),
-    ((12187, 2117, 0, 4), (8795, 2369, 6, 4), (19096, 2117, 0, 4), (220176, 220049), (8899, 8857), (999, 1998), (11731, 15798), (8412, 9984), (3838, 3), (7472, (3, 0)), (3996, (6, 3))),
-    ((30999, 9059, 0, 5), (20402, 9271, 20, 7), (49063, 9059, 0, 5), (245147, 245146), (9240, 8971), (999, 1998), (12005, 15798), (8717, 9984), (4512, 499), (7314, (499, 0)), (2997, (609, 2))),
+    ((93, 88, 0, 1), (93, 88, 0, 1), (93, 88, 0, 1), (155, 154), (93, 88), (23, 46), (101, 152), (85, 112), (108, 4), (85, (4, 0)), (23, (1, 0))),
+    ((96, 96, 0, 1), (96, 96, 0, 1), (96, 96, 0, 1), (189, 191), (96, 96), (23, 46), (97, 152), (81, 112), (142, 341), (81, (341, 0)), (92, (77, 3))),
+    ((205, 193, 0, 1), (205, 193, 0, 1), (205, 193, 0, 1), (385, 385), (205, 193), (40, 80), (221, 313), (177, 234), (166, 3), (177, (3, 0)), (40, (3, 0))),
+    ((196, 190, 0, 1), (196, 190, 0, 1), (196, 190, 0, 1), (468, 471), (196, 190), (40, 80), (216, 313), (180, 234), (216, 518), (180, (518, 0)), (80, (812, 1))),
+    ((3067, 1743, 0, 2), (2287, 1853, 0, 2), (4442, 1743, 0, 2), (19581, 19536), (2119, 2100), (299, 598), (2810, 3840), (2158, 2596), (1130, 4), (2213, (4, 0)), (598, (5, 1))),
+    ((3917, 2308, 0, 2), (2764, 2266, 0, 2), (4729, 2308, 0, 2), (22678, 22683), (2346, 2293), (299, 598), (2847, 3840), (2202, 2596), (1376, 508), (2122, (508, 0)), (299, (429, 0))),
+    ((11937, 3309, 0, 3), (9207, 6025, 1, 3), (17490, 3309, 0, 3), (220176, 220049), (8899, 8857), (999, 1998), (11731, 15798), (8412, 9984), (3838, 3), (8927, (3, 0)), (3996, (6, 3))),
+    ((19743, 8947, 0, 3), (14161, 9110, 2, 4), (21978, 8947, 0, 3), (245147, 245146), (9240, 8971), (999, 1998), (12005, 15798), (8717, 9984), (4512, 499), (5288, (499, 0)), (2997, (609, 2))),
 ]
 
 
-# partition_sort's cells of PINNED_COUNTS rows as they were before the run
-# scan, which RUN_CAP = 1 restores (a scan that stops at the first
-# descent).  Only these rows differ: none of the battery's inputs above
-# MERGE_SEGMENT has few runs, so the longer scan only adds tests.
+# partition_sort's cells of the PINNED_COUNTS rows above MERGE_SEGMENT
+# with RUN_CAP = 1, a scan that stops at the first descent above the leaf.
+# Only these rows differ: none of the battery's inputs above MERGE_SEGMENT
+# has few runs, so the longer scan only adds tests.
 PINNED_PSORT_CAP1 = {
-    12: ((3295, 789, 0, 3), (2005, 879, 1, 4), (6527, 789, 0, 3)),
-    13: ((6981, 2246, 0, 4), (4621, 2229, 7, 5), (11604, 2246, 0, 4)),
-    14: ((12000, 2117, 0, 4), (8520, 2369, 6, 4), (18909, 2117, 0, 4)),
-    15: ((30551, 9059, 0, 5), (19764, 9271, 20, 7), (48615, 9059, 0, 5)),
+    12: ((3036, 1743, 0, 2), (2256, 1853, 0, 2), (4411, 1743, 0, 2)),
+    13: ((3887, 2308, 0, 2), (2734, 2266, 0, 2), (4699, 2308, 0, 2)),
+    14: ((11803, 3309, 0, 3), (9129, 6025, 1, 3), (17356, 3309, 0, 3)),
+    15: ((19649, 8947, 0, 3), (14036, 9110, 2, 4), (21884, 8947, 0, 3)),
 }
 
 
@@ -993,14 +1014,14 @@ def test_counts_pinned_every_algorithm():
 
 
 def test_run_cap_1_gives_the_first_descent_counts(monkeypatch):
-    """With RUN_CAP = 1 the run scan is the first-descent scan, so the
-    counts are those from before it: the README figures and PINNED_COUNTS
-    with the cap-1 psort cells."""
+    """With RUN_CAP = 1 the scan of a segment above the leaf stops at its
+    first descent, and only partition_sort's cells of those rows move: the
+    README input's figures and PINNED_COUNTS with the cap-1 psort cells."""
     monkeypatch.setattr(sorters, "RUN_CAP", 1)
     for i, ((s, got), want) in enumerate(zip(battery_counts(), PINNED_COUNTS, strict=True)):
         assert got == (*PINNED_PSORT_CAP1.get(i, want[:3]), *want[3:]), s
     out = partition_sort(generate(GenSpec("displacement", 100000, k=64, seed=7)), exact_median(), Meter())
-    assert (out.comparisons, out.moves, out.max_recursion_depth) == (6343915, 1106717, 12)
+    assert (out.comparisons, out.moves, out.max_recursion_depth) == (5409944, 1038171, 10)
 
 
 # -- charges against the tests actually executed ---------------------------------
@@ -1065,14 +1086,16 @@ FR_SEED = 0
 
 
 def fr_branch_input(branch):
-    """200 keys on which _fr_pivot under random.Random(FR_SEED) takes branch.
+    """2 * MERGE_SEGMENT keys on which _fr_pivot under random.Random(FR_SEED)
+    takes branch.
 
     random.sample picks the same positions whatever the keys (see
     test_fr_sample_draw_matches_index_draw), so putting the top or bottom
     keys at the seed's first sample positions makes the bracket miss.
     """
-    n = 200
-    picked = random.Random(FR_SEED).sample(range(n), 34)  # the first round's sample size
+    n = 2 * MERGE_SEGMENT
+    size = min(n - 1, max(MERGE_SEGMENT // 2, round(n ** (2.0 / 3.0))))  # the first round's sample
+    picked = random.Random(FR_SEED).sample(range(n), size)
     if branch == "u-equals-v":
         return [7] * n
     if branch == "bracket-holds-all":
