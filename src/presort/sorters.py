@@ -40,8 +40,8 @@ from .core import Meter, Sequence
 # sort, and the rest up to MERGE_SEGMENT with one natural merge from a
 # single run scan, instead of partitioning further.  A longer segment of at
 # most RUN_CAP natural runs is merged once instead of split around a pivot.
-# Floyd-Rivest selection sorts its keys outright at MERGE_SEGMENT or fewer
-# and samples at least MERGE_SEGMENT // 2 of them.  MERGE_SEGMENT = 256 is
+# Floyd-Rivest selection sorts fewer than MERGE_SEGMENT keys outright and
+# samples at least MERGE_SEGMENT // 2 of a longer list.  MERGE_SEGMENT = 256 is
 # the largest leaf, of 128 to 512 keys, with which no bench family and no
 # saw-tooth input costs more than 0.05*B above a 64-key leaf.
 SMALL_SEGMENT = 8
@@ -388,7 +388,7 @@ def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
     Sorts a random sample of n^(2/3), but at least MERGE_SEGMENT // 2,
     keys, picks two sample keys that bracket the target rank with high
     probability, and splits the input against them: most elements cost one
-    comparison, the rest two.  At most MERGE_SEGMENT keys are sorted
+    comparison, the rest two.  Fewer than MERGE_SEGMENT keys are sorted
     outright.  One call on a random permutation measured 2.36n comparisons
     in all at n = 65536, 2.24n at n = 100000 and 5.4n at n = 1000 (median
     of five seeds).  A missed bracket recurses on the big side (counted in
@@ -400,7 +400,7 @@ def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
     misses = 0
     while True:
         n = len(keys)
-        if n <= MERGE_SEGMENT:
+        if n < MERGE_SEGMENT:
             return _merge_sort_keys(keys, m)[0][k - 1], misses
         size = min(n - 1, max(MERGE_SEGMENT // 2, round(n ** (2.0 / 3.0))))
         sample = _merge_sort_keys(rng.sample(keys, size), m)[0]

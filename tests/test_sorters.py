@@ -1057,7 +1057,7 @@ def fr_reference(keys, rng, m):
     misses, taken = 0, []
     while True:
         n = len(keys)
-        if n <= MERGE_SEGMENT:
+        if n < MERGE_SEGMENT:
             return _merge_sort_keys(keys, m)[0][k - 1], misses, taken
         size = min(n - 1, max(MERGE_SEGMENT // 2, round(n ** (2.0 / 3.0))))
         sample = _merge_sort_keys(rng.sample(keys, size), m)[0]
@@ -1119,6 +1119,24 @@ def test_fr_pivot_branches_charge_per_key_split(branch):
     assert branch in taken
     assert got == (want_key, want_misses) and want_key == rank_key(keys, (len(keys) + 1) // 2)
     assert m.comparisons == ref.comparisons
+
+
+class SampleCountingRandom(random.Random):
+    samples = 0
+
+    def sample(self, population, k):
+        self.samples += 1
+        return super().sample(population, k)
+
+
+@pytest.mark.parametrize("n, samples", [(MERGE_SEGMENT - 1, 0), (MERGE_SEGMENT, 1)])
+def test_fr_sorts_only_below_the_merge_leaf_outright(n, samples):
+    """select_floyd_rivest sorts fewer than MERGE_SEGMENT keys outright and
+    draws a sample from MERGE_SEGMENT keys on."""
+    keys = random.Random(n).sample(range(n), n)
+    rng, m = SampleCountingRandom(FR_SEED), Meter()
+    key, _ = sorters.select_floyd_rivest(Sequence.from_keys(keys), rng, m)
+    assert key == rank_key(keys, (n + 1) // 2) and rng.samples == samples
 
 
 @given(st.lists(st.integers(-9, 9), max_size=60), st.integers(-9, 9))
