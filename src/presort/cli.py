@@ -233,7 +233,7 @@ def cmd_sort(args) -> None:
 
 def cmd_bench(args) -> None:
     from .generators import generate
-    from .measures import decompose_maximal, entropy, entropy_bound
+    from .measures import block_sizes, entropy, entropy_bound
     for family in args.families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
@@ -256,7 +256,7 @@ def cmd_bench(args) -> None:
     with _open_out(args.out) as fh:
         for family, n, seed, spec, param in trials:
             seq = generate(spec)
-            sizes = decompose_maximal(seq).size_multiset()
+            sizes = block_sizes(seq)
             bound, h = (entropy_bound(sizes, n), entropy(sizes, n)) if n else (0.0, 0.0)
             for token in args.algos:
                 algo, _, pivot = token.partition("-")

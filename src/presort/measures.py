@@ -12,8 +12,9 @@ tuples: immutable, and equal to any tuple with the same fields in order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import compress, count, islice
+from itertools import combinations, compress, count, islice, repeat
 from operator import gt, ne, sub
 from typing import Optional
 
@@ -53,11 +54,20 @@ class Profile(
     __slots__ = ()
 
 
+# inversions counts the pairs inside chunks of this many keys column by column.
+_CHUNK = 8
+
+
 def _rank_order(s: Sequence) -> list[int]:
     """Input positions by (key, tag) rank: a stable sort by key, by tag first if tags fall."""
     keys, tags = s.columns()
     order = range(len(keys)) if s.tags_rise() else sorted(range(len(keys)), key=tags.__getitem__)
     return sorted(order, key=keys.__getitem__)
+
+
+def _block_starts(order: list[int]) -> list[int]:
+    """0, each rank where the input position steps backwards, and n."""
+    return [0, *compress(count(1), map(gt, order, islice(order, 1, None))), len(order)]
 
 
 def decompose_maximal(s: Sequence, order: Optional[list[int]] = None) -> Decomposition:
@@ -70,50 +80,77 @@ def decompose_maximal(s: Sequence, order: Optional[list[int]] = None) -> Decompo
     breaking position order.  order, when given, must be the positions
     sorted by (key, tag), as profile passes it.
     """
-    n = s.n
-    if n == 0:
+    if s.n == 0:
         return Decomposition(blocks=(), sizes=())
     if order is None:
         order = _rank_order(s)
-    starts = [0, *compress(count(1), map(gt, order, islice(order, 1, None))), n]
+    starts = _block_starts(order)
     blocks = tuple(tuple(order[a:b]) for a, b in zip(starts, islice(starts, 1, None)))
     return Decomposition(blocks=blocks, sizes=tuple(map(len, blocks)))
+
+
+def block_sizes(s: Sequence, order: Optional[list[int]] = None) -> tuple[int, ...]:
+    """decompose_maximal(s, order).size_multiset(), without building the blocks."""
+    if s.n == 0:
+        return ()
+    starts = _block_starts(_rank_order(s) if order is None else order)
+    return tuple(sorted(map(sub, islice(starts, 1, None), starts), reverse=True))
+
+
+def _crossings(window: list[int], left: int) -> int:
+    """Pairs a > b with a in window[:left] and b in window[left:], both sorted:
+    one bisect per key of a side at most 1/8 of the other, else one walk."""
+    n = len(window)
+    right = n - left
+    if window[0] > window[-1]:
+        return left * right
+    if 8 * left <= right:
+        below = map(bisect_left, repeat(window, left), islice(window, left), repeat(left), repeat(n))
+        return sum(below) - left * left
+    if 8 * right <= left:
+        at_most = map(bisect_right, repeat(window, right), islice(window, left, None), repeat(0), repeat(left))
+        return left * right - sum(at_most)
+    total = p = 0
+    for key in islice(window, left, None):
+        while window[p] <= key:
+            p += 1
+        total += left - p
+    return total
 
 
 def inversions(s: Sequence) -> int:
     """Number of pairs i < j with key_i > key_j (ties are not inversions).
 
-    Merge-counting, O(n log n); tests hold it against the quadratic
-    all-pairs definition.  A sorted input costs one scan, and a pair of
-    runs already in order (last key of the left <= first of the right) is
-    copied through without merging.
+    A sorted input costs one scan.  Otherwise pairs inside each chunk of
+    _CHUNK keys are counted column against column, and the sorted chunks
+    are merged bottom-up by the built-in sort.  Of two adjacent runs only
+    a window crosses: the left keys above the right run's first key and
+    the right keys below the left run's last.  Only it is counted and
+    sorted, so the cost is O(n log n) at worst and the Python walk only
+    visits keys that interleave.  Tests hold it to the all-pairs count.
     """
     keys = s.columns()[0]
     if not any(map(gt, keys, islice(keys, 1, None))):
         return 0
-    total = 0
-    width = 1
     n = len(keys)
+    whole = n - n % _CHUNK
+    total = sum(sum(map(gt, a, b)) for a, b in combinations([keys[c:whole:_CHUNK] for c in range(_CHUNK)], 2))
+    total += sum(sum(map(gt, repeat(keys[a]), keys[a + 1 :])) for a in range(whole, n))
+    work = keys[:]
+    for lo in range(0, n, _CHUNK):
+        work[lo : lo + _CHUNK] = sorted(work[lo : lo + _CHUNK])
+    width = _CHUNK
     while width < n:
-        merged = []
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            if mid == hi or keys[mid - 1] <= keys[mid]:
-                merged.extend(keys[lo:hi])
-                continue
-            i, j = lo, mid
-            while i < mid and j < hi:
-                if keys[i] <= keys[j]:
-                    merged.append(keys[i])
-                    i += 1
-                else:
-                    total += mid - i
-                    merged.append(keys[j])
-                    j += 1
-            merged.extend(keys[i:mid])
-            merged.extend(keys[j:hi])
-        keys = merged
+        for mid in range(width, n, 2 * width):
+            if work[mid - 1] > work[mid]:
+                i = bisect_right(work, work[mid], mid - width, mid - 1)
+                j = bisect_left(work, work[mid - 1], mid + 1, min(mid + width, n))
+                window = work[i:j]
+                total += _crossings(window, mid - i)
+                if 2 * width < n:  # nothing reads the last round's merge
+                    window.sort()
+                    work[i:j] = window
+                del window  # one window alive at a time keeps the traced peak near 2n
         width *= 2
     return total
 
@@ -168,9 +205,9 @@ def profile(s: Sequence) -> Profile:
         sizes, displacement, runs = (n,), 0, 1
     else:
         order = _rank_order(s)
-        sizes = decompose_maximal(s, order).size_multiset()
+        sizes = block_sizes(s, order)
         displacement = max_displacement(s, order)
-        del order  # inversions builds its own merge arrays; keep the peak down
+        del order  # inversions builds its own working copy; keep the peak down
         runs = count_runs(s)
     # One run has no inversions (no second scan), and its equal keys are adjacent.
     return Profile(

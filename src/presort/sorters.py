@@ -193,26 +193,27 @@ def _merge_keys(runs: list[list[int]], m: Meter) -> tuple[list[int], int]:
 
     Returns the merged keys and the moves: every merged key is one move.
     Each round merges runs 0+1, 2+3, ... and carries an odd last run over
-    uncharged.  A pair A, B is merged with sorted(A + B) but charged what
-    the left-biased per-test merge loop (ties take from the left) tests
-    before one run is used up: every key of the run that ends first, plus
-    the keys of the other run that the loop outputs before that run's last
-    key.  On singletons this is bottom-up mergesort: at most
-    len*ceil(log2 len) comparisons.  Needs at least one run.
+    uncharged.  A pair A, B is merged by sorting A + B in place, but
+    charged what the left-biased per-test merge loop (ties take from the
+    left) tests before one run is used up: every key of the run that ends
+    first, plus the keys of the other run that the loop outputs before
+    that run's last key.  On singletons this is bottom-up mergesort: at
+    most len*ceil(log2 len) comparisons.  Needs at least one run.
     """
     c = moves = 0
     while len(runs) > 1:
         merged = []
         push = merged.append
-        for i in range(1, len(runs), 2):
-            a, b = runs[i - 1], runs[i]
-            la, lb = len(a), len(b)
+        it = iter(runs)
+        for a, b in zip(it, it):
             if a[-1] <= b[-1]:
-                c += la + bisect_left(b, a[-1])
+                c += len(a) + bisect_left(b, a[-1])
             else:
-                c += lb + bisect_right(a, b[-1])
-            moves += la + lb
-            push(sorted(a + b))
+                c += len(b) + bisect_right(a, b[-1])
+            a = a + b
+            a.sort()
+            push(a)
+        moves += sum(map(len, merged))
         if len(runs) % 2:
             push(runs[-1])
         runs = merged
@@ -467,7 +468,7 @@ def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int,
 def insertion_sort(s: Sequence, m: Meter) -> SortOutcome:
     """Stable insertion sort; cheap when nothing has far to travel."""
     c0, v0 = m.comparisons, m.moves
-    _insertion_keys(s.keys(), m)
+    _insertion_keys(s.columns()[0], m)
     return _outcome(s, m, c0, v0)
 
 
@@ -479,7 +480,7 @@ def natural_merge_sort(s: Sequence, m: Meter) -> SortOutcome:
     """
     c0, v0 = m.comparisons, m.moves
     if s.n:
-        keys = s.keys()
+        keys = s.columns()[0]
         _merge_runs_at(keys, _run_starts(keys, len(keys), m), m)
     return _outcome(s, m, c0, v0)
 
@@ -577,7 +578,8 @@ def blocked_sort(s: Sequence, k: int, m: Meter) -> SortOutcome:
         for lo in range(first, n, 2 * k):
             window = order[lo : lo + 2 * k]
             m.moves += _merge_sort_keys(list(map(keys.__getitem__, window)), m)[1]
-            order[lo : lo + 2 * k] = sorted(window, key=keys.__getitem__)
+            window.sort(key=keys.__getitem__)
+            order[lo : lo + 2 * k] = window
     out = s.take(order)
     keys = out.columns()[0]
     is_sorted = not any(map(gt, keys, islice(keys, 1, None)))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -176,6 +177,52 @@ def test_measure_csv_row(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[0].startswith("n,k,sizes,")
     assert lines[1].startswith("16,8,6-2-2-2-1-1-1-1,")
+
+
+# presort measure --csv on `gen --n 1000 --seed 3` of each family: the sha-256
+# of the two output lines, and the row with its sizes column elided.
+MEASURE_1000_GOLDEN = {
+    ("sorted",): (
+        "e4298e9d59e8fc23703733a451091d47a750f9ae6ab7764beb4cf447dd6e5945",
+        "1000,1,...,0.000000,2000.000000,0,0,1,1000",
+    ),
+    ("reverse",): (
+        "46f032d282df079ffac5e87525f2f23e2a00ddfba1af127a067005c44ab62028",
+        "1000,1000,...,9.965784,10967.226259,499500,999,1000,1000",
+    ),
+    ("random",): (
+        "13a04cc713bb0a05aa20f0195231c6fbfa8834d8521298e33a0cff0d8f98998d",
+        "1000,511,...,8.847870,9851.299080,242841,974,506,1000",
+    ),
+    ("displacement", "--k", "8"): (
+        "b8cb88f3d9b84ea2abe90a5c98b6360fb19466a77bc0ddd5897f50a7f9fa9f36",
+        "1000,57,...,5.803623,6829.668242,826,8,57,1000",
+    ),
+    ("transpose",): (
+        "8c3d6841dd3630dbc7f4001e4a12d25da752fa1a5fa2389cb291cadedbefeff5",
+        "1000,2,...,1.000000,2584.962501,250000,500,2,1000",
+    ),
+    ("sorted-type", "--type", "400,300,200,100"): (
+        "ad9a9518668a59c8a049207eee4b715538e2224b779657f19fe5931fc72fd8b6",
+        "1000,4,...,1.846439,3220.520796,169125,899,348,1000",
+    ),
+    ("multiset", "--h", "16"): (
+        "7d53f90f09ad0c0d1ac3d23ef37c3ba7048f29273119866748df41e9a3fa824a",
+        "1000,16,...,3.994164,5082.303192,239741,937,486,16",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", MEASURE_1000_GOLDEN, ids=lambda f: f[0])
+def test_measure_csv_golden_bytes(tmp_path, capsys, family):
+    f = tmp_path / "in.txt"
+    assert run(capsys, "gen", "--family", *family, "--n", "1000", "--seed", "3", "--out", str(f))[0] == 0
+    code, stdout, _ = run(capsys, "measure", "--in", str(f), "--csv")
+    digest, row = MEASURE_1000_GOLDEN[family]
+    fields = stdout.splitlines()[1].split(",")
+    assert code == 0
+    assert ",".join([*fields[:2], "...", *fields[3:]]) == row
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_measure_missing_file_exit_2(capsys):

@@ -1,12 +1,15 @@
 import math
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presort.core import Sequence
+from presort.core import FAMILIES, KEY_MAX, KEY_MIN, Sequence
+from presort.generators import GenSpec, generate
 from presort.measures import (
+    block_sizes,
     count_runs,
     decompose_maximal,
     entropy,
@@ -162,6 +165,100 @@ def test_inversions_trivial_shapes():
         assert inversions(Sequence.from_keys(keys)) == quad_inversions(keys), keys
 
 
+def _check_inversions(keys):
+    assert inversions(Sequence.from_keys(keys)) == quad_inversions(keys), keys
+
+
+def test_inversions_random_lists_up_to_600_keys():
+    # n = 600 merges runs of 256 and then 512 keys; every tail length n mod 8 shows up.
+    rng = random.Random(24)
+    for n in (*range(17), 63, 64, 65, 129, 250, 257, 300, 511, 513, 600):
+        for h in (3, n + 1):
+            _check_inversions([rng.randrange(h) for _ in range(n)])
+
+
+def test_inversions_every_chunk_tail_length():
+    rng = random.Random(8)
+    for n in range(1, 80):
+        for keys in (
+            [rng.randrange(-4, 5) for _ in range(n)],
+            list(range(n, 0, -1)),
+            [*range(1, n), 0],
+            [n, *range(1, n)],
+        ):
+            _check_inversions(keys)
+
+
+def test_inversions_lopsided_windows():
+    # Runs of 256 keys meet at the 256-wide merge; the window that crosses
+    # is a few keys on one side against most of the other, in either order.
+    evens = list(range(0, 512, 2))
+    for few in ([1], [301], [101, 201, 301], [-1, 255, 257, 509], [409] * 20):
+        # A long left window against a short right one.
+        _check_inversions(evens + few + list(range(1000, 1256 - len(few))))
+        # A short left window against a long right one.
+        _check_inversions(list(range(-256 + len(few), 0)) + few + evens)
+    # Both lopsided ways inside one list, at every merge width up to 128.
+    rng = random.Random(5)
+    for width in (8, 16, 32, 64, 128):
+        keys = []
+        for _ in range(4):
+            keys += sorted(rng.randrange(10**6) for _ in range(width))
+            far = [rng.randrange(10**6) if rng.random() < 0.1 else rng.choice([-1, 10**6]) for _ in range(width)]
+            keys += sorted(far)
+        _check_inversions(keys)
+
+
+def test_inversions_balanced_and_wholly_above_windows():
+    rng = random.Random(9)
+    left = sorted(rng.randrange(1000) for _ in range(128))
+    right = sorted(rng.randrange(1000) for _ in range(128))
+    _check_inversions(left + right)  # interleaving throughout: the walk
+    _check_inversions([k + 1000 for k in left] + right)  # every left key above every right key
+    _check_inversions([k + 999 for k in left] + right)  # the same but for a few ties at the edge
+    _check_inversions(list(range(300, 0, -1)))
+
+
+def test_inversions_ties_at_the_window_edges():
+    # Keys equal to the right run's first key (left side) or to the left
+    # run's last key (right side) sit just outside the window: ties never count.
+    _check_inversions([0, 3, 3, 3, 3, 3, 3, 7] + [3, 3, 5, 7, 7, 7, 7, 9])
+    _check_inversions([3] * 7 + [7] + [3, 7, 7, 7, 7, 7, 7, 7])
+    _check_inversions([1, 5, 5, 5, 5, 5, 5, 5] + [5, 5, 5, 5, 5, 5, 5, 6])
+    rng = random.Random(11)
+    for width in (8, 32, 128):
+        for _ in range(20):
+            edge_lo, edge_hi = sorted(rng.sample(range(20), 2))
+            left = sorted([*(rng.randrange(21) for _ in range(width - 2)), edge_lo, edge_hi])
+            right = sorted([*(rng.randrange(21) for _ in range(width - 2)), edge_lo, edge_hi])
+            _check_inversions(left + right)
+            _check_inversions(left + right[: width // 8])
+            _check_inversions(left[: width // 8] + right)
+
+
+def test_inversions_extreme_keys():
+    rng = random.Random(12)
+    extremes = [KEY_MIN, KEY_MIN + 1, -1, 0, 1, KEY_MAX - 1, KEY_MAX]
+    for n in (2, 7, 8, 9, 40, 257):
+        _check_inversions([rng.choice(extremes) for _ in range(n)])
+    _check_inversions([KEY_MAX] * 9 + [KEY_MIN] * 9)
+
+
+def test_inversions_pinned_on_generated_inputs():
+    # presort gen --family random --n 65536 --seed 7, and the README's displacement input.
+    assert inversions(generate(GenSpec("random", 65536, seed=7))) == 1_077_226_641
+    assert inversions(generate(GenSpec("displacement", 100000, k=64, seed=7))) == 543_019
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_block_sizes_match_the_decomposition_on_every_family(family):
+    extra = {"displacement": {"k": 9}, "multiset": {"h": 7}, "sorted-type": {"sizes": (300, 200, 100, 100)}}
+    for seed in (0, 1):
+        s = generate(GenSpec(family, 700, seed=seed, **extra.get(family, {})))
+        want = decompose_maximal(s).size_multiset()
+        assert profile(s).sizes == want == block_sizes(s)
+
+
 def test_max_displacement_examples():
     assert max_displacement(Sequence.from_keys([1, 2, 3])) == 0
     assert max_displacement(Sequence.from_keys(SWAPPED_PAIRS16)) == 1
@@ -300,3 +397,9 @@ def test_profile_sorted_keys_with_falling_tags_are_not_in_order():
     assert p.sizes == (1, 1)
     assert p.displacement == 1
     assert (p.inversions, p.runs) == (0, 1)
+
+
+@given(_profile_input())
+@settings(max_examples=200)
+def test_block_sizes_match_the_decomposition(s):
+    assert block_sizes(s) == decompose_maximal(s).size_multiset()
