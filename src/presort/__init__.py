@@ -27,7 +27,7 @@ _EXPORTS = {
         ("generators", "GenSpec generate realize_sorted_type"),
         (
             "measures",
-            "Decomposition Profile block_sizes count_runs decompose_maximal entropy entropy_bound inversions"
+            "Decomposition Profile count_runs decompose_maximal entropy entropy_bound inversions"
             " max_displacement profile",
         ),
         (

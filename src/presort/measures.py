@@ -70,27 +70,25 @@ def _block_starts(order: list[int]) -> list[int]:
     return [0, *compress(count(1), map(gt, order, islice(order, 1, None))), len(order)]
 
 
-def decompose_maximal(s: Sequence, order: Optional[list[int]] = None) -> Decomposition:
+def decompose_maximal(s: Sequence) -> Decomposition:
     """Split s into its maximal sorted blocks, greedily along rank order.
 
     Items are ranked by (key, tag); ties inherit input order.  Walking the
     ranks, a block keeps growing while input positions increase and a new
     block starts the moment they step backwards.  The result is the unique
     maximal decomposition: no block can absorb an adjacent rank without
-    breaking position order.  order, when given, must be the positions
-    sorted by (key, tag), as profile passes it.
+    breaking position order.
     """
     if s.n == 0:
         return Decomposition(blocks=(), sizes=())
-    if order is None:
-        order = _rank_order(s)
+    order = _rank_order(s)
     starts = _block_starts(order)
     blocks = tuple(tuple(order[a:b]) for a, b in zip(starts, islice(starts, 1, None)))
     return Decomposition(blocks=blocks, sizes=tuple(map(len, blocks)))
 
 
 def block_sizes(s: Sequence, order: Optional[list[int]] = None) -> tuple[int, ...]:
-    """decompose_maximal(s, order).size_multiset(), without building the blocks."""
+    """decompose_maximal(s).size_multiset(), without building the blocks; order as for max_displacement."""
     if s.n == 0:
         return ()
     starts = _block_starts(_rank_order(s) if order is None else order)
@@ -98,18 +96,10 @@ def block_sizes(s: Sequence, order: Optional[list[int]] = None) -> tuple[int, ..
 
 
 def _crossings(window: list[int], left: int) -> int:
-    """Pairs a > b with a in window[:left] and b in window[left:], both sorted:
-    one bisect per key of a side at most 1/8 of the other, else one walk."""
-    n = len(window)
-    right = n - left
+    """Pairs a > b with a in window[:left] and b in window[left:], both sorted.
+    Every right key lies below window[left - 1], so the walk stays on the left side."""
     if window[0] > window[-1]:
-        return left * right
-    if 8 * left <= right:
-        below = map(bisect_left, repeat(window, left), islice(window, left), repeat(left), repeat(n))
-        return sum(below) - left * left
-    if 8 * right <= left:
-        at_most = map(bisect_right, repeat(window, right), islice(window, left, None), repeat(0), repeat(left))
-        return left * right - sum(at_most)
+        return left * (len(window) - left)
     total = p = 0
     for key in islice(window, left, None):
         while window[p] <= key:
@@ -160,7 +150,8 @@ def max_displacement(s: Sequence, order: Optional[list[int]] = None) -> int:
 
     The sorted position of an item is its rank by (key, tag), so duplicate
     keys settle in input order and contribute no artificial displacement.
-    order is as for decompose_maximal.
+    order, when given, must be the positions sorted by (key, tag), as
+    profile passes it.
     """
     if order is None:
         order = _rank_order(s)

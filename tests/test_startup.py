@@ -34,7 +34,7 @@ EXPORTED = {
     "KEY_MAX", "KEY_MIN", "Meter", "Sequence", "SequenceFormatError", "dump_sequence", "load_sequence",
     "sorted_check", "verify_sorted_stable_permutation",
     "FAMILIES", "GenSpec", "generate", "realize_sorted_type",
-    "Decomposition", "Profile", "block_sizes", "count_runs", "decompose_maximal", "entropy", "entropy_bound",
+    "Decomposition", "Profile", "count_runs", "decompose_maximal", "entropy", "entropy_bound",
     "inversions", "max_displacement", "profile",
     "PIVOT_KINDS", "PivotStrategy", "SortOutcome", "blocked_sort", "exact_median", "floyd_rivest",
     "insertion_sort", "natural_merge_sort", "partition_sort", "random_middle", "select_exact_median",
