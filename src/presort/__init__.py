@@ -22,7 +22,7 @@ _EXPORTS = {
         (
             "core",
             "FAMILIES KEY_MAX KEY_MIN Meter Sequence SequenceFormatError dump_sequence load_sequence"
-            " sorted_check verify_sorted_stable_permutation",
+            " verify_sorted_stable_permutation",
         ),
         ("generators", "GenSpec generate realize_sorted_type"),
         (
@@ -34,7 +34,7 @@ _EXPORTS = {
             "sorters",
             "PIVOT_KINDS PivotStrategy SortOutcome blocked_sort exact_median floyd_rivest insertion_sort"
             " natural_merge_sort partition_sort random_middle select_exact_median select_floyd_rivest"
-            " select_random_middle stable_three_way_partition",
+            " select_random_middle sorted_check stable_three_way_partition",
         ),
     )
     for name in names.split()

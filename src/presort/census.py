@@ -27,15 +27,15 @@ from collections import Counter, namedtuple
 from itertools import permutations
 
 from .core import Meter, _check_sizes
-from .sorters import SMALL_SEGMENT, PivotStrategy, _charge_psort
+from .sorters import PivotStrategy, _charge_psort
 
 # Counting a census runs one O(k^2) recursion for each of the 2^(n-1) cut
 # sets (512 at n = 10), where a walk would visit all n! permutations.
 MAX_CENSUS_N = 10
 
 # Worst-case sweeps charge all n! permutations, so they cut off earlier than
-# the counted census; at n <= SMALL_SEGMENT no pivot kind ever selects.
-MAX_WORST_CASE_N = SMALL_SEGMENT
+# the counted census: n = 9 would sweep 362,880 sorts, nine times n = 8's.
+MAX_WORST_CASE_N = 8
 
 
 class CensusRow(namedtuple("CensusRow", "sizes nu count_bound info_bits")):
@@ -122,10 +122,10 @@ def census_worst_cases(n: int, strategy: PivotStrategy) -> dict[tuple[int, ...],
     """Max partition_sort comparisons over each realizable type, in one sweep.
 
     partition_sort's key recursion (all it charges) runs on every
-    permutation of 1..n, with no items built.  At n <= MAX_WORST_CASE_N no
-    segment selects a pivot and no Random is built, so every pivot kind is
-    one fixed deterministic procedure across every class and the
-    information bound ceil(log2 nu) applies to each.
+    permutation of 1..n, with no items built.  No segment of at most
+    sorters.MERGE_SEGMENT = 256 keys selects a pivot or builds a Random, so
+    every pivot kind is one fixed deterministic procedure across every class
+    and the information bound ceil(log2 nu) applies to each.
     """
     if not 1 <= n <= MAX_WORST_CASE_N:
         raise ValueError(f"worst-case sweeps support 1 <= n <= {MAX_WORST_CASE_N}, got {n}")

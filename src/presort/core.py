@@ -78,12 +78,12 @@ class Sequence:
 class Meter:
     """Counts key comparisons and item moves for one algorithm run.
 
-    Counters only ever go up.  Each kernel tallies the key tests of its
-    schedule in a local and adds them here in bulk.  A kernel that executes
-    something cheaper than its schedule (a binary search, an unrolled group
-    sort, a built-in sort of two runs) still charges the schedule exactly;
-    the tests check every charge against keys that count the comparisons
-    actually made on them.
+    Counters only ever go up.  Each kernel in sorters tallies the key tests
+    of its schedule in a local and adds them here in bulk.  A kernel that
+    executes something cheaper than its schedule (a binary search, an
+    unrolled group sort, a built-in sort of two runs) still charges the
+    schedule exactly; the tests check every charge against keys that count
+    the comparisons actually made on them.
     """
 
     __slots__ = ("comparisons", "moves")
@@ -91,22 +91,6 @@ class Meter:
     def __init__(self) -> None:
         self.comparisons = 0
         self.moves = 0
-
-    def first_descent(self, keys: list) -> int:
-        """Index of the first adjacent descent in keys, or -1 if none.
-
-        Scans pairs left to right and stops at the first keys[i] >
-        keys[i+1], charging one comparison per pair examined: i+1 tests
-        when the descent is at pair i, len(keys)-1 when already sorted.
-        """
-        prev = None
-        for i, k in enumerate(keys):
-            if prev is not None and prev > k:
-                self.comparisons += i
-                return i - 1
-            prev = k
-        self.comparisons += max(len(keys) - 1, 0)
-        return -1
 
 
 def _check_sizes(sizes, n: int) -> list[int]:
@@ -118,15 +102,6 @@ def _check_sizes(sizes, n: int) -> list[int]:
     if sum(sizes) != n:
         raise ValueError(f"block sizes sum to {sum(sizes)}, expected n={n}")
     return sizes
-
-
-def sorted_check(s: Sequence, m: Meter) -> bool:
-    """Counted test that s is non-decreasing by key.
-
-    Stops at the first violation, so a sorted input costs n-1 comparisons
-    and an input that breaks at the first pair costs exactly 1.
-    """
-    return m.first_descent(s._keys) < 0
 
 
 def verify_sorted_stable_permutation(inp: Sequence, out: Sequence) -> bool:

@@ -36,14 +36,14 @@ from operator import gt
 
 from .core import Meter, Sequence
 
-# Unsorted segments at or below SMALL_SEGMENT are finished with insertion
-# sort, and the rest up to MERGE_SEGMENT with one natural merge from a
-# single run scan, instead of partitioning further.  A longer segment of at
-# most RUN_CAP natural runs is merged once instead of split around a pivot.
-# Floyd-Rivest selection sorts fewer than MERGE_SEGMENT keys outright and
-# samples at least MERGE_SEGMENT // 2 of a longer list.  MERGE_SEGMENT = 256 is
-# the largest leaf, of 128 to 512 keys, with which no bench family and no
-# saw-tooth input costs more than 0.05*B above a 64-key leaf.
+# Segments at or below SMALL_SEGMENT are finished with insertion sort, with
+# no scan first, and the rest up to MERGE_SEGMENT with one natural merge
+# from a single run scan, instead of partitioning further.  A longer segment
+# of at most RUN_CAP natural runs is merged once instead of split around a
+# pivot.  Floyd-Rivest selection sorts fewer than MERGE_SEGMENT keys outright
+# and samples at least MERGE_SEGMENT // 2 of a longer list.  MERGE_SEGMENT =
+# 256 is the largest leaf, of 128 to 512 keys, with which no bench family and
+# no saw-tooth input costs more than 0.05*B above a 64-key leaf.
 SMALL_SEGMENT = 8
 MERGE_SEGMENT = 256
 RUN_CAP = 16
@@ -249,6 +249,13 @@ def _run_starts(keys: list[int], cap: int, m: Meter) -> list[int]:
     starts = list(islice(compress(count(1), map(gt, keys, islice(keys, 1, None))), cap))
     m.comparisons += starts[-1] if len(starts) == cap else max(len(keys) - 1, 0)
     return starts
+
+
+def sorted_check(s: Sequence, m: Meter) -> bool:
+    """Counted test that s is non-decreasing by key: the run scan with cap 1,
+    so a sorted input costs n-1 comparisons and one whose first descent is
+    at position i costs i."""
+    return not _run_starts(s.columns()[0], 1, m)
 
 
 def _merge_runs_at(keys: list[int], starts: list[int], m: Meter) -> None:
@@ -490,8 +497,7 @@ def _psort(keys: list[int], select, rng, m: Meter, depth: int) -> tuple[int, int
     the pivot retries and the deepest level reached."""
     n = len(keys)
     if n <= SMALL_SEGMENT:
-        if m.first_descent(keys) >= 0:
-            _insertion_keys(keys, m)
+        _insertion_keys(keys, m)
         return 0, depth
     # A leaf of n keys has at most n - 1 descents, so its scan never stops
     # early and the leaf always merges.
@@ -524,27 +530,27 @@ def _charge_psort(keys: list[int], strategy: PivotStrategy, m: Meter) -> tuple[i
 def partition_sort(s: Sequence, strategy: PivotStrategy, m: Meter) -> SortOutcome:
     """Stable adaptive partition sort.
 
-    Every level, top call included, starts with a run scan and returns
-    immediately when the segment is already in order, so a sorted input of
-    length n costs exactly n-1 comparisons.  A segment of at most
-    SMALL_SEGMENT keys stops its scan at the first descent and is
-    insertion-sorted.  A longer one of at most MERGE_SEGMENT keys scans
-    every pair once and is merged from the run starts it found, charged as
-    natural_merge_sort.  Above MERGE_SEGMENT keys the scan goes on until it
+    A segment of at most SMALL_SEGMENT keys is insertion-sorted with no scan
+    first: insertion tests each adjacent pair of a sorted segment once and
+    moves nothing.  Every longer one, top call included, starts with a run scan
+    and returns at once when it is already in order, so a sorted input of
+    length n costs exactly n-1 comparisons.  One of at most MERGE_SEGMENT keys
+    scans every pair once and is merged from the run starts it found, charged
+    as natural_merge_sort.  Above MERGE_SEGMENT keys the scan goes on until it
     has found RUN_CAP descents, charging every pair it examines.  A segment of
     at most RUN_CAP runs is merged once from the run starts the scan found,
     each pair tested once.  The others pick a pivot per the strategy, split
-    stably three ways, and recurse on the outer parts; duplicates of the
-    pivot are done the moment they land in the middle.  Comparisons spent
-    finding and verifying pivots are charged like any others.  The
-    recursion runs on keys (_charge_psort); _outcome routes the items once.
+    stably three ways, and recurse on the outer parts; duplicates of the pivot
+    are done the moment they land in the middle.  Comparisons spent finding
+    and verifying pivots are charged like any others.  The recursion runs on
+    keys (_charge_psort); _outcome routes the items once.
 
     What the scans and leaves add is O(B), B the budget of
     measures.entropy_bound.  On a segment that splits, the scan costs at
     most n-1, less than the split's n or more tests.  A merged segment of R
     runs costs its n-1 scan plus at most n*ceil(log2 R) merge tests, with
     R <= RUN_CAP above the leaf and R <= n <= MERGE_SEGMENT in a leaf; an
-    insertion leaf of at most SMALL_SEGMENT keys costs fewer than 5 tests
+    insertion leaf of at most SMALL_SEGMENT keys costs fewer than 4 tests
     per key.  Finished segments are disjoint, so together they cost at most
     (ceil(log2 MERGE_SEGMENT) + 1)*n.  And B >= 2n, since each block of b
     keys adds b*log2(n/b + 1) >= b to the n term, so the leaves and merges

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -141,6 +142,32 @@ def test_worst_case_meets_information_bound():
         for row in enumerate_census(n):
             wc = worst[row.sizes]
             assert wc >= row.info_bits, (n, row.sizes, wc, row.nu)
+
+
+# rho(n): the largest ratio, over the classes at n, of the class's worst
+# case to its lower bound max(info_bits, n - 1), pinned as a bound.  From
+# n = 2 each is n/2, set by the reverse class's n(n-1)/2 insertion tests
+# against n - 1.
+RHO_BOUND = {1: 1, 2: 1, 3: 1.5, 4: 2, 5: 2.5, 6: 3, 7: 3.5, 8: 4}
+# The n = 8 class worst cases summed over the classes.
+WORST_SUM_8 = 515
+
+
+@pytest.mark.parametrize("kind", PIVOT_KINDS)
+def test_worst_case_ratio_to_class_bound_is_bounded(kind):
+    """rho(n) <= RHO_BOUND[n] for every swept n, and the n = 8 worst cases
+    sum to at most WORST_SUM_8.  The n = 1 class costs 0 against a bound of
+    0, which reads as ratio 1."""
+    strat = PivotStrategy(kind, seed=5)
+    for n in range(1, MAX_WORST_CASE_N + 1):
+        worst = census_worst_cases(n, strat)
+        ratios = []
+        for row in enumerate_census(n):
+            wc, bound = worst[row.sizes], max(row.info_bits, n - 1)
+            assert wc >= bound and (bound or wc == 0), (n, row.sizes, wc)
+            ratios.append(Fraction(wc, bound) if bound else Fraction(1))
+        assert max(ratios) <= RHO_BOUND[n], (n, max(ratios))
+    assert sum(worst.values()) <= WORST_SUM_8
 
 
 def test_worst_case_n_capped():

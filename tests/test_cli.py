@@ -15,7 +15,7 @@ from presort.cli import BENCH_HEADER, CENSUS_HEADER, main
 from presort.core import Meter, load_sequence
 from presort.generators import GenSpec, generate
 from presort.measures import decompose_maximal
-from presort.sorters import MERGE_SEGMENT, PIVOT_KINDS, SMALL_SEGMENT, PivotStrategy, partition_sort
+from presort.sorters import MERGE_SEGMENT, PIVOT_KINDS, PivotStrategy, partition_sort
 
 from vectors import BLOCKS16
 
@@ -621,31 +621,33 @@ def test_census_worstcase_column(capsys):
 
 
 # `presort census --n 8 --worstcase psort-median` without its eq1_rhs
-# column, as the permutation-walk census printed it.
+# column.  nu and info_bits are as the permutation-walk census printed
+# them; the worst cases were re-recorded when the insertion leaf stopped
+# scanning before it sorts.
 CENSUS_8_MEDIAN = """\
 type,nu,info_bits,worst_case_comparisons
 8,1,0,7
-4-4,69,7,26
-5-3,110,7,26
-6-2,54,6,24
-7-1,14,4,20
-3-3-2,1403,11,29
-4-2-2,1011,10,29
-4-3-1,1150,11,28
-5-2-1,646,10,27
-6-1-1,83,7,24
-2-2-2-2,1385,11,30
-3-2-2-1,8660,14,30
-3-3-1-1,2226,12,29
-4-2-1-1,3080,12,29
-5-1-1-1,268,9,27
-2-2-2-1-1,7954,13,30
-3-2-1-1-1,7164,13,30
-4-1-1-1-1,501,9,29
-2-2-1-1-1-1,3771,12,30
-3-1-1-1-1-1,522,10,30
-2-1-1-1-1-1-1,247,8,30
-1-1-1-1-1-1-1-1,1,0,29
+4-4,69,7,22
+5-3,110,7,21
+6-2,54,6,18
+7-1,14,4,13
+3-3-2,1403,11,26
+4-2-2,1011,10,25
+4-3-1,1150,11,24
+5-2-1,646,10,22
+6-1-1,83,7,18
+2-2-2-2,1385,11,28
+3-2-2-1,8660,14,27
+3-3-1-1,2226,12,26
+4-2-1-1,3080,12,25
+5-1-1-1,268,9,22
+2-2-2-1-1,7954,13,28
+3-2-1-1-1,7164,13,27
+4-1-1-1-1,501,9,25
+2-2-1-1-1-1,3771,12,28
+3-1-1-1-1-1,522,10,27
+2-1-1-1-1-1-1,247,8,28
+1-1-1-1-1-1-1-1,1,0,28
 """
 
 
@@ -658,9 +660,10 @@ def test_census_n8_worstcase_golden(capsys):
 
 @pytest.mark.parametrize("algo", ["psort-randmid", "psort-fr"])
 def test_census_worstcase_pivot_kinds_coincide(capsys, algo):
-    """Worst-case sweeps stop at SMALL_SEGMENT, where partition_sort never
-    selects a pivot, so every pivot kind prints the median's census."""
-    assert MAX_WORST_CASE_N <= SMALL_SEGMENT
+    """Worst-case sweeps stop short of MERGE_SEGMENT keys, and partition_sort
+    never selects a pivot on a segment that short, so every pivot kind
+    prints the median's census."""
+    assert MAX_WORST_CASE_N <= MERGE_SEGMENT
     argv = ["census", "--n", str(MAX_WORST_CASE_N), "--worstcase"]
     assert run(capsys, *argv, algo) == run(capsys, *argv, "psort-median")
 

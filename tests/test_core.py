@@ -18,11 +18,10 @@ from presort.core import (
     dump_sequence,
     _parse_lines,
     load_sequence,
-    sorted_check,
     verify_sorted_stable_permutation,
 )
 from presort.generators import GenSpec, generate
-from presort.sorters import PivotStrategy, partition_sort
+from presort.sorters import PivotStrategy, partition_sort, sorted_check
 
 from counting import counting_keys, executed
 from vectors import SWAPPED_PAIRS16
@@ -76,13 +75,14 @@ def test_sorted_check_agrees_with_python(keys):
 
 
 @given(st.lists(st.integers(-50, 50), max_size=60))
-def test_first_descent_trace_matches_fast_path(keys):
-    """The charge equals the tests the scan executes, and the index is right."""
+def test_sorted_check_charges_the_tests_it_executes(keys):
+    """The charge equals the tests the scan executes on counting keys: i when
+    the first descent is at position i, n-1 on sorted input."""
     m = Meter()
-    got, tests = executed(m.first_descent, counting_keys(keys))
-    want = next((i for i in range(len(keys) - 1) if keys[i] > keys[i + 1]), -1)
-    assert got == want
-    assert m.comparisons == tests
+    got, tests = executed(sorted_check, Sequence.from_keys(counting_keys(keys)), m)
+    first = next((i for i in range(1, len(keys)) if keys[i - 1] > keys[i]), None)
+    assert got == (first is None)
+    assert m.comparisons == tests == (max(len(keys) - 1, 0) if first is None else first)
 
 
 def test_verify_accepts_stable_sort():

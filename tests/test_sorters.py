@@ -216,16 +216,14 @@ def psort_reference(items, select, rng, m, depth=1):
     The same scans, leaf sizes and selector, with every item routed at
     every level: by insertion_reference, by merge_runs on the natural runs,
     and by partition3_reference.  A segment of at most SMALL_SEGMENT keys
-    stops its scan at the first descent and is insertion-sorted.  A longer
-    one of at most MERGE_SEGMENT keys scans every pair once and is merged;
+    is insertion-sorted with no scan first.  A longer one of at most
+    MERGE_SEGMENT keys scans every pair once and is merged;
     above that the scan looks for sorters.RUN_CAP descents, and a segment
     of at most RUN_CAP runs is merged on the runs it found.
     """
     keys = [it[0] for it in items]
     n = len(items)
     if n <= SMALL_SEGMENT:
-        if m.first_descent(keys) < 0:
-            return items, 0, depth
         return insertion_reference(items, m), 0, depth
     descents = run_scan_reference(keys, n if n <= MERGE_SEGMENT else sorters.RUN_CAP, m)
     if n <= MERGE_SEGMENT or descents < sorters.RUN_CAP:
@@ -605,6 +603,27 @@ def test_psort_merge_leaf_tests_each_pair_once(keys, order):
         assert got == (len(keys) - 1 + tests, ref.moves, 0, 1), strategy
 
 
+def test_psort_insertion_leaf_is_insertion_sort():
+    """A segment of at most SMALL_SEGMENT keys is insertion-sorted with no
+    scan first: on every permutation of fewer than SMALL_SEGMENT keys and
+    every word of at most SMALL_SEGMENT letters over {0, 1, 2}, each pivot
+    kind charges exactly insertion_sort's comparisons and moves, which are
+    what the per-item reference executes, and returns the same items."""
+    inputs = [p for n in range(SMALL_SEGMENT) for p in itertools.permutations(range(n))]
+    inputs += [w for n in range(SMALL_SEGMENT + 1) for w in itertools.product(range(3), repeat=n)]
+    for keys in inputs:
+        s = Sequence.from_keys(keys)
+        want = insertion_sort(s, Meter())
+        ref = Meter()
+        items = psort_reference(items_of(s), None, None, ref)[0]
+        assert (ref.comparisons, ref.moves) == (want.comparisons, want.moves), keys
+        for strategy in STRATEGIES:
+            out = partition_sort(s, strategy, Meter())
+            got = (out.comparisons, out.moves, out.pivot_retries, out.max_recursion_depth)
+            assert got == (want.comparisons, want.moves, 0, 1), (keys, strategy)
+            assert out.output == want.output == sequence_of(items), (keys, strategy)
+
+
 def test_psort_merge_charge_within_proven_bound(monkeypatch):
     """Every segment the run scan merges, of n > MERGE_SEGMENT keys in
     R <= RUN_CAP runs, is charged at most (n-1) + n*ceil(log2 R): the scan,
@@ -941,7 +960,9 @@ def _battery(rng):
 # run scan began to look for RUN_CAP descents, and the partition_sort
 # columns of every row with a leaf of 9 or more keys, and the Floyd-Rivest
 # selector cells above the leaf, again when a leaf became one run scan and
-# its merge and MERGE_SEGMENT rose to 256.
+# its merge and MERGE_SEGMENT rose to 256.  The partition_sort cells of
+# rows 6 and 7 (7 keys) were re-recorded, equal to their insertion_sort
+# cells, when the insertion leaf stopped scanning before it sorts.
 PINNED_COUNTS = [
     ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0), (0, 0), None, None, None, None, None, None),
     ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 3), None, None),
@@ -949,8 +970,8 @@ PINNED_COUNTS = [
     ((49, 81, 0, 1), (49, 81, 0, 1), (49, 81, 0, 1), (136, 152), (49, 81), (16, 32), (47, 94), (33, 81), (109, 9), (33, (9, 0)), (16, (7, 0))),
     ((55, 48, 0, 1), (55, 48, 0, 1), (55, 48, 0, 1), (60, 62), (55, 48), (15, 30), (63, 88), (48, 64), (65, 39), (48, (39, 0)), (45, (56, 2))),
     ((10, 0, 0, 1), (10, 0, 0, 1), (10, 0, 0, 1), (10, 0), (10, 0), (10, 20), (27, 47), (23, 40), (32, 5), (23, (5, 0)), (672, (5, 64))),
-    ((14, 13, 0, 1), (14, 13, 0, 1), (14, 13, 0, 1), (13, 13), (15, 14), (6, 12), (12, 21), (14, 20), (24, 5), (14, (5, 0)), (12, (3, 1))),
-    ((21, 17, 0, 1), (21, 17, 0, 1), (21, 17, 0, 1), (18, 17), (16, 14), (6, 12), (11, 21), (12, 20), (50, 100), (12, (100, 0)), (12, (100, 1))),
+    ((13, 13, 0, 1), (13, 13, 0, 1), (13, 13, 0, 1), (13, 13), (15, 14), (6, 12), (12, 21), (14, 20), (24, 5), (14, (5, 0)), (12, (3, 1))),
+    ((18, 17, 0, 1), (18, 17, 0, 1), (18, 17, 0, 1), (18, 17), (16, 14), (6, 12), (11, 21), (12, 20), (50, 100), (12, (100, 0)), (12, (100, 1))),
     ((93, 88, 0, 1), (93, 88, 0, 1), (93, 88, 0, 1), (155, 154), (93, 88), (23, 46), (101, 152), (85, 112), (108, 4), (85, (4, 0)), (23, (1, 0))),
     ((96, 96, 0, 1), (96, 96, 0, 1), (96, 96, 0, 1), (189, 191), (96, 96), (23, 46), (97, 152), (81, 112), (142, 341), (81, (341, 0)), (92, (77, 3))),
     ((205, 193, 0, 1), (205, 193, 0, 1), (205, 193, 0, 1), (385, 385), (205, 193), (40, 80), (221, 313), (177, 234), (166, 3), (177, (3, 0)), (40, (3, 0))),
@@ -1013,7 +1034,7 @@ def test_counts_pinned_every_algorithm():
         assert got == want, s
 
 
-def test_run_cap_1_gives_the_first_descent_counts(monkeypatch):
+def test_run_cap_1_moves_only_psort_cells_above_the_merge_leaf(monkeypatch):
     """With RUN_CAP = 1 the scan of a segment above the leaf stops at its
     first descent, and only partition_sort's cells of those rows move: the
     README input's figures and PINNED_COUNTS with the cap-1 psort cells."""

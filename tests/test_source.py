@@ -43,6 +43,24 @@ def test_only_core_reads_columns():
     assert readers == [], f"modules reading a Sequence's columns directly (module, line): {readers}"
 
 
+def test_only_sorters_charges_meters():
+    """Every charged key test lives in sorters.py: no other module adds to
+    or otherwise updates a .comparisons or .moves attribute in place."""
+    writers = []
+    for path in PACKAGE:
+        if path.name == "sorters.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writers += [
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Attribute)
+            and node.target.attr in ("comparisons", "moves")
+        ]
+    assert writers == [], f"modules charging a meter outside sorters.py (module, line): {writers}"
+
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
