@@ -123,7 +123,7 @@ def census_worst_cases(n: int, strategy: PivotStrategy) -> dict[tuple[int, ...],
 
     partition_sort's key recursion (all it charges) runs on every
     permutation of 1..n, with no items built.  No segment of at most
-    sorters.MERGE_SEGMENT = 256 keys selects a pivot or builds a Random, so
+    sorters.MERGE_SEGMENT = 512 keys selects a pivot or builds a Random, so
     every pivot kind is one fixed deterministic procedure across every class
     and the information bound ceil(log2 nu) applies to each.
     """

@@ -3,8 +3,8 @@
 The flagship is partition_sort: a stable quicksort variant that first runs
 a cheap run-counting scan at every level, so inputs (and sub-segments)
 that are already in order cost a linear scan and nothing else, and that
-finishes short segments, and longer ones made of at most RUN_CAP runs, by
-merging their natural runs instead of picking pivots.  Its total
+finishes every segment made of at most MERGE_SEGMENT runs by merging its
+natural runs instead of picking pivots.  Its total
 comparison count tracks the entropy budget of the input's block
 decomposition; the acceptance suite calibrates and enforces that.
 
@@ -37,16 +37,16 @@ from operator import gt
 from .core import Meter, Sequence
 
 # Segments at or below SMALL_SEGMENT are finished with insertion sort, with
-# no scan first, and the rest up to MERGE_SEGMENT with one natural merge
-# from a single run scan, instead of partitioning further.  A longer segment
-# of at most RUN_CAP natural runs is merged once instead of split around a
-# pivot.  Floyd-Rivest selection sorts fewer than MERGE_SEGMENT keys outright
-# and samples at least MERGE_SEGMENT // 2 of a longer list.  MERGE_SEGMENT =
-# 256 is the largest leaf, of 128 to 512 keys, with which no bench family and
-# no saw-tooth input costs more than 0.05*B above a 64-key leaf.
+# no scan first.  A longer one is scanned for its first MERGE_SEGMENT
+# descents, and merged from the run starts found if it has at most
+# MERGE_SEGMENT natural runs, instead of split around a pivot.  Floyd-Rivest
+# selection sorts fewer than MERGE_SEGMENT // 2 keys outright and samples at
+# least MERGE_SEGMENT // 4 of a longer list.  Of the caps 16, 256, 512 and
+# 1024 runs, 512 is the only one that keeps the acceptance envelope
+# (calibration within C2, log-k residual within 15%), and it lowers psort's
+# largest comparisons / B over the bench families at 2^16 keys.
 SMALL_SEGMENT = 8
-MERGE_SEGMENT = 256
-RUN_CAP = 16
+MERGE_SEGMENT = 512
 
 # Sampling attempts select_random_middle makes before giving up and
 # falling back to the deterministic selector.
@@ -393,10 +393,10 @@ def _randmid_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, 
 def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
     """Key of rank ceil(n/2) by sampling selection; returns (key, bracket_misses).
 
-    Sorts a random sample of n^(2/3), but at least MERGE_SEGMENT // 2,
+    Sorts a random sample of n^(2/3), but at least MERGE_SEGMENT // 4,
     keys, picks two sample keys that bracket the target rank with high
     probability, and splits the input against them: most elements cost one
-    comparison, the rest two.  Fewer than MERGE_SEGMENT keys are sorted
+    comparison, the rest two.  Fewer than MERGE_SEGMENT // 2 keys are sorted
     outright.  One call on a random permutation measured 2.36n comparisons
     in all at n = 65536, 2.24n at n = 100000 and 5.4n at n = 1000 (median
     of five seeds).  A missed bracket recurses on the big side (counted in
@@ -408,9 +408,9 @@ def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
     misses = 0
     while True:
         n = len(keys)
-        if n < MERGE_SEGMENT:
+        if n < MERGE_SEGMENT // 2:
             return _merge_sort_keys(keys, m)[0][k - 1], misses
-        size = min(n - 1, max(MERGE_SEGMENT // 2, round(n ** (2.0 / 3.0))))
+        size = min(n - 1, max(MERGE_SEGMENT // 4, round(n ** (2.0 / 3.0))))
         sample = _merge_sort_keys(rng.sample(keys, size), m)[0]
         t = k * size / n
         margin = int(math.sqrt(size * math.log(n))) + 1
@@ -499,11 +499,10 @@ def _psort(keys: list[int], select, rng, m: Meter, depth: int) -> tuple[int, int
     if n <= SMALL_SEGMENT:
         _insertion_keys(keys, m)
         return 0, depth
-    # A leaf of n keys has at most n - 1 descents, so its scan never stops
-    # early and the leaf always merges.
-    cap = n if n <= MERGE_SEGMENT else RUN_CAP
-    starts = _run_starts(keys, cap, m)
-    if len(starts) < cap:
+    # Fewer than MERGE_SEGMENT descents: at most MERGE_SEGMENT runs, merged.
+    # A segment of at most MERGE_SEGMENT keys always merges.
+    starts = _run_starts(keys, MERGE_SEGMENT, m)
+    if len(starts) < MERGE_SEGMENT:
         if starts:
             _merge_runs_at(keys, starts, m)
         return 0, depth
@@ -533,28 +532,27 @@ def partition_sort(s: Sequence, strategy: PivotStrategy, m: Meter) -> SortOutcom
     A segment of at most SMALL_SEGMENT keys is insertion-sorted with no scan
     first: insertion tests each adjacent pair of a sorted segment once and
     moves nothing.  Every longer one, top call included, starts with a run scan
-    and returns at once when it is already in order, so a sorted input of
-    length n costs exactly n-1 comparisons.  One of at most MERGE_SEGMENT keys
-    scans every pair once and is merged from the run starts it found, charged
-    as natural_merge_sort.  Above MERGE_SEGMENT keys the scan goes on until it
-    has found RUN_CAP descents, charging every pair it examines.  A segment of
-    at most RUN_CAP runs is merged once from the run starts the scan found,
-    each pair tested once.  The others pick a pivot per the strategy, split
-    stably three ways, and recurse on the outer parts; duplicates of the pivot
-    are done the moment they land in the middle.  Comparisons spent finding
-    and verifying pivots are charged like any others.  The recursion runs on
-    keys (_charge_psort); _outcome routes the items once.
+    that goes on until it has found MERGE_SEGMENT descents, charging every
+    pair it examines, and returns at once when it is already in order, so a
+    sorted input of length n costs exactly n-1 comparisons.  A segment of at
+    most MERGE_SEGMENT runs, so every one of at most MERGE_SEGMENT keys, is
+    merged once from the run starts the scan found, each pair tested once,
+    charged as natural_merge_sort.  The others pick a pivot per the strategy,
+    split stably three ways, and recurse on the outer parts; duplicates of the
+    pivot are done the moment they land in the middle.  Comparisons spent
+    finding and verifying pivots are charged like any others.  The recursion
+    runs on keys (_charge_psort); _outcome routes the items once.
 
     What the scans and leaves add is O(B), B the budget of
     measures.entropy_bound.  On a segment that splits, the scan costs at
-    most n-1, less than the split's n or more tests.  A merged segment of R
-    runs costs its n-1 scan plus at most n*ceil(log2 R) merge tests, with
-    R <= RUN_CAP above the leaf and R <= n <= MERGE_SEGMENT in a leaf; an
-    insertion leaf of at most SMALL_SEGMENT keys costs fewer than 4 tests
-    per key.  Finished segments are disjoint, so together they cost at most
-    (ceil(log2 MERGE_SEGMENT) + 1)*n.  And B >= 2n, since each block of b
-    keys adds b*log2(n/b + 1) >= b to the n term, so the leaves and merges
-    add at most (ceil(log2 MERGE_SEGMENT) + 1)/2 = 4.5 times B.
+    most n-1, less than the split's n or more tests.  A merged segment of
+    R <= MERGE_SEGMENT runs costs its n-1 scan plus at most n*ceil(log2 R)
+    merge tests; an insertion leaf of at most SMALL_SEGMENT keys costs fewer
+    than 4 tests per key.  Finished segments are disjoint, so together they
+    cost at most (ceil(log2 MERGE_SEGMENT) + 1)*n = 10n.  And B >= 2n, since
+    each block of b keys adds b*log2(n/b + 1) >= b to the n term, so the
+    leaves and merges add at most (ceil(log2 MERGE_SEGMENT) + 1)/2 = 5
+    times B.
     """
     c0, v0 = m.comparisons, m.moves
     return _outcome(s, m, c0, v0, *_charge_psort(s.columns()[0], strategy, m))

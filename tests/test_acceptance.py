@@ -35,6 +35,7 @@ from presort.census import census_worst_cases, enumerate_census
 from presort.core import Meter, Sequence, verify_sorted_stable_permutation
 from presort.generators import GenSpec, generate
 from presort.measures import (
+    count_runs,
     decompose_maximal,
     entropy_bound,
     inversions,
@@ -114,24 +115,27 @@ def test_criterion_1_correctness_oracle(capsys):
         rng = random.Random(20260819)
         strategies = [MEDIAN, PivotStrategy("randmid", 11), PivotStrategy("fr", 11)]
         cases = 10_000
-        selected = 0
+        long_merged = selected = 0
         for case in range(cases):
-            # One case in ten is longer than the merge leaf, so it selects
-            # pivots and partitions; the rest are leaves.
+            # One case in ten is longer than MERGE_SEGMENT keys, so it selects
+            # pivots and partitions when it has more than MERGE_SEGMENT runs
+            # and merges otherwise; the rest always merge.
             long = case % 10 == 9
-            n = rng.randint(MERGE_SEGMENT + 1, 2 * MERGE_SEGMENT) if long else rng.randint(0, MERGE_SEGMENT)
+            n = rng.randint(MERGE_SEGMENT + 1, 4 * MERGE_SEGMENT) if long else rng.randint(0, MERGE_SEGMENT)
             span = rng.choice((2, 8, 1 << 20))
             keys = [rng.randint(0, span) for _ in range(n)]
             seq = Sequence.from_keys(keys)
             reference = ref_sort(seq)
             if case % 10 == 0:
                 PROFILES.append(profile(seq))
+            selects = count_runs(seq) > MERGE_SEGMENT
+            long_merged += long and not selects
             for strategy in strategies:
                 out = partition_sort(seq, strategy, Meter())
                 assert verify_sorted_stable_permutation(seq, out.output)
                 assert out.output == reference  # bit-for-bit
-                assert (out.max_recursion_depth > 1) == long, (n, strategy)
-                selected += long
+                assert (out.max_recursion_depth > 1) == selects, (n, strategy)
+                selected += selects
             for alg in (insertion_sort, natural_merge_sort):
                 out = alg(seq, Meter())
                 assert verify_sorted_stable_permutation(seq, out.output)
@@ -141,8 +145,9 @@ def test_criterion_1_correctness_oracle(capsys):
                 assert out.is_sorted
                 assert verify_sorted_stable_permutation(seq, out.output)
         elapsed = time.perf_counter() - t0
+        assert selected and long_merged, (selected, long_merged)
         g["note"] = (f"{cases} inputs x 6 sorters verified, psort bit-exact vs reference, "
-                     f"{selected} psort runs selected pivots")
+                     f"{selected} psort runs selected pivots, {long_merged} long inputs merged")
         assert elapsed < 30.0, f"budget 30s exceeded: {elapsed:.1f}s"
 
 

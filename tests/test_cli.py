@@ -14,7 +14,7 @@ from presort.census import MAX_WORST_CASE_N
 from presort.cli import BENCH_HEADER, CENSUS_HEADER, main
 from presort.core import Meter, load_sequence
 from presort.generators import GenSpec, generate
-from presort.measures import decompose_maximal
+from presort.measures import count_runs, decompose_maximal
 from presort.sorters import MERGE_SEGMENT, PIVOT_KINDS, PivotStrategy, partition_sort
 
 from vectors import BLOCKS16
@@ -481,36 +481,36 @@ def test_bench_failed_verification_still_writes_the_csv(tmp_path, capsys):
 
 
 # At n = 16 every psort segment is a merge leaf, charged as natmerge.  At
-# n = 1024, above the leaf, each pivot kind selects on random keys and on
-# displacement (32 runs here, more than RUN_CAP), so selection's
-# comparisons show in those rows; transpose (two runs) is one merge after
-# the run scan under every kind.
-BENCH_1024_GOLDEN = """\
+# n = 4096 each pivot kind selects on random keys and on displacement k = 2
+# (684 runs here, more than MERGE_SEGMENT), so selection's comparisons show
+# in those rows; transpose (two runs) is one merge after the run scan under
+# every kind.
+BENCH_4096_GOLDEN = """\
 family,n,param,algo,pivot,seed,comparisons,moves,bound_B,entropy_H,ratio,elapsed_ns
-displacement,1024,k=16,psort,fr,0,15087,5600,6093.901445,4.902565,2.475754,0
-displacement,1024,k=16,psort,median,0,12353,5600,6093.901445,4.902565,2.027109,0
-displacement,1024,k=16,psort,randmid,0,12792,5342,6093.901445,4.902565,2.099148,0
-random,1024,,psort,fr,0,22874,9595,10103.755270,8.863538,2.263911,0
-random,1024,,psort,median,0,20643,9595,10103.755270,8.863538,2.043102,0
-random,1024,,psort,randmid,0,17352,9562,10103.755270,8.863538,1.717381,0
-transpose,1024,,psort,fr,0,1535,1024,2647.001601,1.000000,0.579901,0
-transpose,1024,,psort,median,0,1535,1024,2647.001601,1.000000,0.579901,0
-transpose,1024,,psort,randmid,0,1535,1024,2647.001601,1.000000,0.579901,0
+displacement,4096,k=2,psort,fr,0,49387,39576,42633.336449,9.406390,1.158413,0
+displacement,4096,k=2,psort,median,0,47132,39576,42633.336449,9.406390,1.105520,0
+displacement,4096,k=2,psort,randmid,0,49843,39751,42633.336449,9.406390,1.169109,0
+random,4096,,psort,fr,0,95811,45411,48444.871630,10.826482,1.977733,0
+random,4096,,psort,median,0,100147,45411,48444.871630,10.826482,2.067236,0
+random,4096,,psort,randmid,0,76038,46378,48444.871630,10.826482,1.569578,0
+transpose,4096,,psort,fr,0,6143,4096,10588.006403,1.000000,0.580185,0
+transpose,4096,,psort,median,0,6143,4096,10588.006403,1.000000,0.580185,0
+transpose,4096,,psort,randmid,0,6143,4096,10588.006403,1.000000,0.580185,0
 """
 
 
 def test_bench_golden_bytes_above_merge_leaf(capsys):
-    assert 1024 > MERGE_SEGMENT
-    for family, k in (("random", None), ("displacement", 16)):
-        s = generate(GenSpec(family, 1024, k=k, seed=0))
+    for family, k in (("random", None), ("displacement", 2)):
+        s = generate(GenSpec(family, 4096, k=k, seed=0))
+        assert count_runs(s) > MERGE_SEGMENT, family
         for kind in PIVOT_KINDS:
             assert partition_sort(s, PivotStrategy(kind, 0), Meter()).max_recursion_depth > 1, (family, kind)
     code, stdout, _ = run(
-        capsys, "bench", "--families", "random,displacement,transpose", "--sizes", "1024",
-        "--algos", "psort-median,psort-randmid,psort-fr", "--trials", "1", "--k", "16", "--no-time",
+        capsys, "bench", "--families", "random,displacement,transpose", "--sizes", "4096",
+        "--algos", "psort-median,psort-randmid,psort-fr", "--trials", "1", "--k", "2", "--no-time",
     )
     assert code == 0
-    assert stdout == BENCH_1024_GOLDEN
+    assert stdout == BENCH_4096_GOLDEN
 
 
 def test_bench_usage_errors(tmp_path, capsys):
