@@ -13,11 +13,12 @@ overlapping 2k-wide windows, which sorts any input whose items all sit
 within k slots of their final position.
 
 Every key test inside any routine here is charged to the caller's Meter.
-Each kernel exists once and charges its tests in bulk.  Most charge exactly
-the tests they execute.  A few run something faster (a binary search, an
-unrolled group sort, built-in sorts, the full second pass of a split) but
-charge exactly the schedule of the plain per-test loop they stand for;
-the tests hold them to what that loop executes.
+Each kernel exists once, insertion sort's for every size and caller, and
+charges its tests in bulk.  Most charge exactly the tests they execute.  A
+few run something faster (a binary search, an unrolled group sort, built-in
+sorts, the full second pass of a split) but charge exactly the schedule of
+the plain per-test loop they stand for; the tests hold them to what that
+loop executes.  No function here writes to a list it is passed.
 
 The sorters meter their keys alone, then route the items once with one
 stable sort of positions by key (blocked_sort routes window by window).
@@ -39,12 +40,10 @@ from .core import Meter, Sequence
 # Segments at or below SMALL_SEGMENT are finished with insertion sort, with
 # no scan first.  A longer one is scanned for its first MERGE_SEGMENT
 # descents, and merged from the run starts found if it has at most
-# MERGE_SEGMENT natural runs, instead of split around a pivot.  Floyd-Rivest
-# selection sorts fewer than MERGE_SEGMENT // 2 keys outright and samples at
-# least MERGE_SEGMENT // 4 of a longer list.  Of the caps 16, 256, 512 and
-# 1024 runs, 512 is the only one that keeps the acceptance envelope
-# (calibration within C2, log-k residual within 15%), and it lowers psort's
-# largest comparisons / B over the bench families at 2^16 keys.
+# MERGE_SEGMENT natural runs, instead of split around a pivot.  Of the caps
+# 16, 256, 512 and 1024 runs, 512 is the only one that keeps the acceptance
+# envelope (calibration within C2, log-k residual within 15%), and it lowers
+# psort's largest comparisons / B over the bench families at 2^16 keys.
 SMALL_SEGMENT = 8
 MERGE_SEGMENT = 512
 
@@ -118,26 +117,9 @@ def stable_three_way_partition(s: Sequence, pivot_key: int, m: Meter):
     return s.take(lo), s.take(eq), s.take(hi)
 
 
-def _insertion_sort_keys(keys: list[int], m: Meter) -> None:
-    # In-place counted insertion sort for the tiny groups inside selection.
-    # Its schedule is the charge _group_medians must reproduce exactly,
-    # whatever operations that kernel executes.
-    c = 0
-    for i in range(1, len(keys)):
-        x = keys[i]
-        j = i
-        while j > 0:
-            c += 1
-            if not keys[j - 1] > x:
-                break
-            keys[j] = keys[j - 1]
-            j -= 1
-        keys[j] = x
-    m.comparisons += c
-
-
 def _group_medians(keys: list[int], m: Meter) -> list[int]:
-    """Medians of the groups of 5 in keys, charged as _insertion_sort_keys.
+    """Medians of the groups of 5 in keys, charged as insertion sort's
+    linear-scan schedule on each group.
 
     Each full group is insertion-sorted unrolled on five locals: every `>`
     below is the next test the per-test loop would make, in the same order,
@@ -182,9 +164,7 @@ def _group_medians(keys: list[int], m: Meter) -> list[int]:
     m.comparisons += 4 * len(medians) + extra
     tail = len(keys) % 5
     if tail:
-        group = keys[-tail:]
-        _insertion_sort_keys(group, m)
-        push(group[(tail - 1) // 2])
+        push(_insertion_keys(keys[-tail:], m)[0][(tail - 1) // 2])
     return medians
 
 
@@ -265,15 +245,15 @@ def _merge_runs_at(keys: list[int], starts: list[int], m: Meter) -> None:
     m.moves += _merge_keys([keys[a:b] for a, b in zip(bounds, islice(bounds, 1, None))], m)[1]
 
 
-def _insertion_keys(keys: list[int], m: Meter) -> None:
-    """Charge a stable insertion sort of keys.
+def _insertion_keys(keys: list[int], m: Meter) -> tuple[list[int], int]:
+    """Stable insertion sort of keys, charged as the per-test loop that
+    scans each key's insertion point from the right.
 
-    Element i pays one comparison per slot it jumps plus the final failed
-    test, except when it travels all the way to the front.  Total is at
-    most n-1 plus the inversion count.  Each insertion point is found by
-    binary search in the sorted prefix, charging exactly the linear-scan
-    schedule of _insertion_sort_keys, and one move per slot jumped plus
-    one for the landing.
+    Returns the sorted keys and the moves: one per slot jumped plus one for
+    the landing.  Element i pays one comparison per slot it jumps plus the
+    final failed test, except when it travels all the way to the front.
+    Total is at most n-1 plus the inversion count.  Each insertion point
+    is found by binary search in the sorted prefix; keys is not changed.
     """
     done: list[int] = []
     c = moves = 0
@@ -285,7 +265,7 @@ def _insertion_keys(keys: list[int], m: Meter) -> None:
             moves += shifts + 1
         done.insert(p, key)
     m.comparisons += c
-    m.moves += moves
+    return done, moves
 
 
 def _outcome(s: Sequence, m: Meter, c0: int, v0: int, retries: int = 0, depth: int = 0) -> SortOutcome:
@@ -318,14 +298,12 @@ def _select_kth_key(keys: list[int], k: int, m: Meter) -> int:
     exactly; n/5 + 7n/10), so the work is linear.  Keys above the median
     pivot are taken in a second pass only when those below miss the
     target, charged as testing just the keys not below, as the per-key
-    three-way loop would.  Only a list of at most 5 keys is sorted in
-    place; a longer one is never reordered, as _SELECTORS requires.
+    three-way loop would.  keys is never reordered, as _SELECTORS requires.
     """
     while True:
         n = len(keys)
         if n <= 5:
-            _insertion_sort_keys(keys, m)
-            return keys[k - 1]
+            return _insertion_keys(keys, m)[0][k - 1]
         low = 2 * k <= n + 1
         r = k if low else n + 1 - k
         if 6 * r <= n:
@@ -393,24 +371,25 @@ def _randmid_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, 
 def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
     """Key of rank ceil(n/2) by sampling selection; returns (key, bracket_misses).
 
-    Sorts a random sample of n^(2/3), but at least MERGE_SEGMENT // 4,
-    keys, picks two sample keys that bracket the target rank with high
-    probability, and splits the input against them: most elements cost one
-    comparison, the rest two.  Fewer than MERGE_SEGMENT // 2 keys are sorted
-    outright.  One call on a random permutation measured 2.36n comparisons
-    in all at n = 65536, 2.24n at n = 100000 and 5.4n at n = 1000 (median
-    of five seeds).  A missed bracket recurses on the big side (counted in
-    the second return value); a degenerate split falls back to the
-    deterministic selector, so the result always equals the true
-    rank-ceil(n/2) key.
+    Sorts a random sample of n^(2/3), but at least 128, keys, picks two
+    sample keys that bracket the target rank with high probability, and
+    splits the input against them: most elements cost one comparison, the
+    rest two.  Fewer than 256 keys are sorted outright.  One call on a
+    random permutation measured 2.36n comparisons in all at n = 65536,
+    2.24n at n = 100000 and 5.4n at n = 1000 (median of five seeds).  A
+    missed bracket recurses on the big side (counted in the second return
+    value); a degenerate split falls back to the deterministic selector, so
+    the result always equals the true rank-ceil(n/2) key.
     """
     k = (len(keys) + 1) // 2
     misses = 0
     while True:
         n = len(keys)
-        if n < MERGE_SEGMENT // 2:
+        # Literals, not MERGE_SEGMENT: perfbench's census sweep selects on
+        # 256 random keys and reports a bracket hit ratio only if it samples.
+        if n < 256:
             return _merge_sort_keys(keys, m)[0][k - 1], misses
-        size = min(n - 1, max(MERGE_SEGMENT // 4, round(n ** (2.0 / 3.0))))
+        size = min(n - 1, max(128, round(n ** (2.0 / 3.0))))
         sample = _merge_sort_keys(rng.sample(keys, size), m)[0]
         t = k * size / n
         margin = int(math.sqrt(size * math.log(n))) + 1
@@ -451,21 +430,21 @@ def select_exact_median(s: Sequence, m: Meter) -> int:
     """The rank-ceil(n/2) key of s, by rank-adaptive selection; see _median_pivot."""
     if s.n == 0:
         raise ValueError("median of empty sequence")
-    return _median_pivot(s.keys(), None, m)[0]
+    return _median_pivot(s.columns()[0], None, m)[0]
 
 
 def select_random_middle(s: Sequence, rng: random.Random, m: Meter) -> tuple[int, int]:
     """A middle-half key of s and the rejected samples; see _randmid_pivot."""
     if s.n == 0:
         raise ValueError("pivot from empty sequence")
-    return _randmid_pivot(s.keys(), rng, m)
+    return _randmid_pivot(s.columns()[0], rng, m)
 
 
 def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int, int]:
     """The rank-ceil(n/2) key of s and the bracket misses; see _fr_pivot."""
     if s.n == 0:
         raise ValueError("median of empty sequence")
-    return _fr_pivot(s.keys(), rng, m)
+    return _fr_pivot(s.columns()[0], rng, m)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +454,7 @@ def select_floyd_rivest(s: Sequence, rng: random.Random, m: Meter) -> tuple[int,
 def insertion_sort(s: Sequence, m: Meter) -> SortOutcome:
     """Stable insertion sort; cheap when nothing has far to travel."""
     c0, v0 = m.comparisons, m.moves
-    _insertion_keys(s.columns()[0], m)
+    m.moves += _insertion_keys(s.columns()[0], m)[1]
     return _outcome(s, m, c0, v0)
 
 
@@ -497,7 +476,7 @@ def _psort(keys: list[int], select, rng, m: Meter, depth: int) -> tuple[int, int
     the pivot retries and the deepest level reached."""
     n = len(keys)
     if n <= SMALL_SEGMENT:
-        _insertion_keys(keys, m)
+        m.moves += _insertion_keys(keys, m)[1]
         return 0, depth
     # Fewer than MERGE_SEGMENT descents: at most MERGE_SEGMENT runs, merged.
     # A segment of at most MERGE_SEGMENT keys always merges.

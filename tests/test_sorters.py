@@ -20,7 +20,6 @@ from presort.sorters import (
     _charge_psort,
     _group_medians,
     _insertion_keys,
-    _insertion_sort_keys,
     _merge_sort_keys,
     _run_starts,
     _select_kth_key,
@@ -100,15 +99,14 @@ def select_kth_reference(keys, k, m):
     """Per-test reference for sorters._select_kth_key.
 
     The same pivots, found with per-test loops: each group's extreme by a
-    running minimum or maximum, each group of 5 by _insertion_sort_keys.
+    running minimum or maximum, each group of 5 by insertion_keys_reference.
     A split tests every key against the pivot on the target's side first;
     the median pivot's split then tests only the keys that were not below
     it.  Every test is charged as it runs.
     """
     n = len(keys)
     if n <= 5:
-        _insertion_sort_keys(keys, m)
-        return keys[k - 1]
+        return insertion_keys_reference(keys, m)[k - 1]
     low = 2 * k <= n + 1
     r = k if low else n + 1 - k
     if 6 * r <= n:
@@ -132,8 +130,7 @@ def select_kth_reference(keys, k, m):
         return select_kth_reference(near, r if low else len(near) + 1 - r, m)
     medians = []
     for g in range(0, n, 5):
-        group = keys[g : g + 5]
-        _insertion_sort_keys(group, m)
+        group = insertion_keys_reference(keys[g : g + 5], m)
         medians.append(group[(len(group) - 1) // 2])
     pivot = select_kth_reference(medians, (len(medians) + 1) // 2, m)
     lo, rest = [], []
@@ -177,8 +174,8 @@ def partition3_reference(items, pivot, m):
 
 
 def insertion_reference(items, m):
-    """Per-test stable insertion sort of items, the schedule of
-    _insertion_sort_keys: every test is charged as it runs, and an item that
+    """Per-test stable insertion sort of items, scanning each insertion
+    point from the right: every test is charged as it runs, and an item that
     jumps is one move per slot jumped plus one for its landing."""
     out = list(items)
     for i in range(1, len(out)):
@@ -194,6 +191,15 @@ def insertion_reference(items, m):
             m.moves += i - j + 1
         out[j] = x
     return out
+
+
+def insertion_keys_reference(keys, m):
+    """keys sorted by insertion_reference, charging m its tests alone:
+    selection sorts bare keys and routes no items."""
+    tally = Meter()
+    out = insertion_reference(list(zip(keys)), tally)
+    m.comparisons += tally.comparisons
+    return [key for key, in out]
 
 
 def run_scan_reference(keys, cap, m):
@@ -1085,9 +1091,9 @@ def fr_reference(keys, rng, m):
     misses, taken = 0, []
     while True:
         n = len(keys)
-        if n < MERGE_SEGMENT // 2:
+        if n < 256:
             return _merge_sort_keys(keys, m)[0][k - 1], misses, taken
-        size = min(n - 1, max(MERGE_SEGMENT // 4, round(n ** (2.0 / 3.0))))
+        size = min(n - 1, max(128, round(n ** (2.0 / 3.0))))
         sample = _merge_sort_keys(rng.sample(keys, size), m)[0]
         t = k * size / n
         margin = int(math.sqrt(size * math.log(n))) + 1
@@ -1114,15 +1120,14 @@ FR_SEED = 0
 
 
 def fr_branch_input(branch):
-    """MERGE_SEGMENT keys on which _fr_pivot under random.Random(FR_SEED)
-    takes branch.
+    """512 keys on which _fr_pivot under random.Random(FR_SEED) takes branch.
 
     random.sample picks the same positions whatever the keys (see
     test_fr_sample_draw_matches_index_draw), so putting the top or bottom
     keys at the seed's first sample positions makes the bracket miss.
     """
-    n = MERGE_SEGMENT
-    size = min(n - 1, max(MERGE_SEGMENT // 4, round(n ** (2.0 / 3.0))))  # the first round's sample
+    n = 512
+    size = min(n - 1, max(128, round(n ** (2.0 / 3.0))))  # the first round's sample
     picked = random.Random(FR_SEED).sample(range(n), size)
     if branch == "u-equals-v":
         return [7] * n
@@ -1157,10 +1162,11 @@ class SampleCountingRandom(random.Random):
         return super().sample(population, k)
 
 
-@pytest.mark.parametrize("n, samples", [(MERGE_SEGMENT // 2 - 1, 0), (MERGE_SEGMENT // 2, 1)])
+@pytest.mark.parametrize("n, samples", [(255, 0), (256, 1)])
 def test_fr_sorts_only_below_the_merge_leaf_outright(n, samples):
-    """select_floyd_rivest sorts fewer than MERGE_SEGMENT // 2 keys outright
-    and draws a sample from MERGE_SEGMENT // 2 keys on."""
+    """select_floyd_rivest sorts fewer than 256 keys outright and draws a
+    sample from 256 keys on, whatever MERGE_SEGMENT is: perfbench's traced
+    census sweep selects on 256 random keys and must see a sample."""
     keys = random.Random(n).sample(range(n), n)
     rng, m = SampleCountingRandom(FR_SEED), Meter()
     key, _ = sorters.select_floyd_rivest(Sequence.from_keys(keys), rng, m)
@@ -1181,11 +1187,11 @@ def test_partition3_items_charges_executed_tests(keys, pivot):
 
 
 @given(st.lists(st.integers(-9, 9), max_size=30))
-def test_insertion_sort_keys_charges_executed_tests(keys):
-    group = counting_keys(keys)
+def test_insertion_reference_charges_executed_tests(keys):
+    """The reference insertion sort charges exactly the tests it executes."""
     m = Meter()
-    _, tests = executed(_insertion_sort_keys, group, m)
-    assert group == sorted(keys)
+    out, tests = executed(insertion_reference, counting_items(keys), m)
+    assert out == items_of(ref_sort(Sequence.from_keys(keys)))
     assert m.comparisons == tests
 
 
@@ -1225,13 +1231,26 @@ def test_insertion_items_charges_linear_scan_schedule(keys):
     """
     s = Sequence.from_keys(keys)
     m = Meter()
-    _insertion_keys(list(keys), m)
+    got, moves = _insertion_keys(list(keys), m)
     ref = Meter()
     out, tests = executed(insertion_reference, counting_items(keys), ref)
-    assert out == items_of(ref_sort(s))
+    assert out == items_of(ref_sort(s)) and got == sorted(keys)
     assert m.comparisons == ref.comparisons == tests
     movers = sum(1 for i, k in enumerate(keys) if any(x > k for x in keys[:i]))
-    assert m.moves == ref.moves == inversions(s) + movers
+    assert moves == ref.moves == inversions(s) + movers and m.moves == 0
+
+
+def test_insertion_keys_matches_per_test_loop_on_every_small_word():
+    """On every word of length <= 6 over {0, 1, 2}, _insertion_keys returns
+    the sorted word and the reference's moves, charges the reference's
+    comparisons and no moves, and leaves the word as it was."""
+    for n in range(7):
+        for word in itertools.product(range(3), repeat=n):
+            keys, m, ref = list(word), Meter(), Meter()
+            got, moves = _insertion_keys(keys, m)
+            insertion_reference(list(zip(word)), ref)
+            assert got == sorted(word) and keys == list(word), word
+            assert (m.comparisons, m.moves, moves) == (ref.comparisons, 0, ref.moves), word
 
 
 def test_group_medians_match_per_test_insertion_sort():
@@ -1239,9 +1258,8 @@ def test_group_medians_match_per_test_insertion_sort():
     for group in itertools.product(range(5), repeat=5):
         fast = Meter()
         got = _group_medians(list(group), fast)
-        ref = list(group)
         slow = Meter()
-        _insertion_sort_keys(ref, slow)
+        ref = insertion_keys_reference(group, slow)
         assert got == [ref[2]], group
         assert fast.comparisons == slow.comparisons, group
 
@@ -1255,8 +1273,7 @@ def test_group_medians_short_final_group():
         slow = Meter()
         ref = []
         for g in range(0, n, 5):
-            group = keys[g : g + 5]
-            _insertion_sort_keys(group, slow)
+            group = insertion_keys_reference(keys[g : g + 5], slow)
             ref.append(group[(len(group) - 1) // 2])
         assert got == ref, keys
         assert fast.comparisons == slow.comparisons, keys
@@ -1274,6 +1291,21 @@ def test_select_kth_key_charges_reference_schedule(keys):
         want, tests = executed(select_kth_reference, counting_keys(keys), k, ref)
         assert got == want == rank_key(keys, k), k
         assert fast.comparisons == ref.comparisons == tests, k
+        assert fast.moves == ref.moves == 0, k
+
+
+def test_select_kth_key_leaves_short_lists_alone():
+    """test_selectors_leave_the_key_list_alone below MERGE_SEGMENT: at every
+    rank, _select_kth_key leaves every list of up to 9 keys over {0, 1, 2}
+    as it was, and a seeded sample of the lists of 10 to 12 such keys."""
+    rng = random.Random(3)
+    for n in range(13):
+        words = itertools.product(range(3), repeat=n) if n <= 9 else (rng.choices(range(3), k=n) for _ in range(1000))
+        for word in map(list, words):
+            keys = list(word)
+            for k in range(1, n + 1):
+                _select_kth_key(keys, k, Meter())
+                assert keys == word, (word, k)
 
 
 def test_merge_sort_keys_fast_path_matches_traced():

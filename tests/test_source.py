@@ -61,6 +61,36 @@ def test_only_sorters_charges_meters():
     assert writers == [], f"modules charging a meter outside sorters.py (module, line): {writers}"
 
 
+# List methods that change the list they are called on.
+LIST_MUTATORS = {"sort", "insert", "append", "extend", "reverse", "pop", "remove", "clear"}
+
+
+def test_sorters_never_write_to_a_parameter():
+    """No function in sorters.py stores into a subscript of one of its own
+    parameters or calls a LIST_MUTATORS method on one.
+
+    partition_sort splits the very key list it hands a selector, so no
+    selector, nor any kernel a selector calls, may reorder it."""
+    path = Path(presort.__file__).parent / "sorters.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    writes = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in LIST_MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in params:
+                writes.append((fn.name, node.lineno))
+    assert writes == [], f"sorters.py functions writing to a parameter (function, line): {writes}"
+
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
