@@ -21,8 +21,8 @@ _EXPORTS = {
         ("census", "MAX_CENSUS_N CensusRow census_worst_cases enumerate_census type_count_lower_bound"),
         (
             "core",
-            "FAMILIES KEY_MAX KEY_MIN Meter Sequence SequenceFormatError dump_sequence load_sequence"
-            " verify_sorted_stable_permutation",
+            "FAMILIES KEY_MAX KEY_MIN Meter PIVOT_KINDS Sequence SequenceFormatError dump_sequence"
+            " load_sequence verify_sorted_stable_permutation",
         ),
         ("generators", "GenSpec generate realize_sorted_type"),
         (
@@ -32,7 +32,7 @@ _EXPORTS = {
         ),
         (
             "sorters",
-            "PIVOT_KINDS PivotStrategy SortOutcome blocked_sort exact_median floyd_rivest insertion_sort"
+            "PivotStrategy SortOutcome blocked_sort exact_median floyd_rivest insertion_sort"
             " natural_merge_sort partition_sort random_middle select_exact_median select_floyd_rivest"
             " select_random_middle sorted_check stable_three_way_partition",
         ),

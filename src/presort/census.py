@@ -6,7 +6,8 @@ counted exactly rather than enumerated, and compares it against two
 yardsticks: a counting lower bound on nu from the swap-repair argument,
 and the information bound ceil(log2 nu) that any deterministic
 comparison sorter must pay in the worst case over the class.  Worst-case
-sweeps charge partition_sort's key recursion on all n! inputs, no items.
+sweeps charge partition_sort's key recursion on all n! inputs, no items,
+and read each input's type off the slots its values were inserted at.
 
 The block sizes of a permutation are the ascending-run lengths of its
 inverse, and inversion is a bijection, so nu(type) is the sum, over the
@@ -24,10 +25,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from itertools import permutations
+from typing import TYPE_CHECKING
 
 from .core import Meter, _check_sizes
-from .sorters import PivotStrategy, _charge_psort
+
+if TYPE_CHECKING:
+    from .sorters import PivotStrategy
 
 # Counting a census runs one O(k^2) recursion for each of the 2^(n-1) cut
 # sets (512 at n = 10), where a walk would visit all n! permutations.
@@ -69,30 +72,6 @@ def type_count_lower_bound(n: int, sizes) -> float:
     return multinomial / math.factorial(len(sizes))
 
 
-def _type_of_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Block-size multiset of one permutation of 1..n, non-increasing.
-
-    Inlined inverse-and-chain walk so worst-case sweeps stay affordable;
-    the tests hold it equal to decompose_maximal on every permutation of
-    small n.
-    """
-    pos = [0] * (len(perm) + 1)
-    for i, v in enumerate(perm):
-        pos[v] = i
-    sizes = []
-    size = 1
-    last = pos[1]
-    for p in pos[2:]:
-        if p > last:
-            size += 1
-        else:
-            sizes.append(size)
-            size = 1
-        last = p
-    sizes.append(size)
-    return tuple(sorted(sizes, reverse=True))
-
-
 def enumerate_census(n: int) -> list[CensusRow]:
     """Census every permutation of {1..n}; one row per realized type.
 
@@ -118,23 +97,68 @@ def enumerate_census(n: int) -> list[CensusRow]:
     return rows
 
 
+def _by_insertion(n: int, visit) -> None:
+    """Call visit(perm, slots, sizes) for each permutation perm of 1..n-1
+    and each type that inserting n into it gives: n at any slot in slots
+    makes a permutation of 1..n of type sizes.
+
+    Inserting v = 1, ..., n in turn, each into one of the v slots of the
+    permutation of 1..v-1, builds each permutation of 1..n from exactly one
+    slot sequence.  v joins v-1's block exactly when v's slot is right of
+    v-1's: v-1 sits at the slot it was inserted at, and larger values never
+    reorder the two.  So n has two types to choose from, "split" and
+    "joined", and no type needs a walk.  perm is one list, changed in
+    place; visit must leave it as it found it.
+    """
+    perm: list[int] = []
+
+    def grow(v: int, closed: list[int], run: int, last: int) -> None:
+        # perm holds 1..v-1, v-1 at slot last in a block of run values; closed
+        # holds the sizes of the blocks below it.
+        if v == n:
+            for slots, sizes in ((range(last + 1), [*closed, run, 1]), (range(last + 1, n), [*closed, run + 1])):
+                if slots:  # n = 1 has no n-1 to split from
+                    visit(perm, slots, tuple(sorted(sizes, reverse=True)))
+            return
+        for j in range(v):
+            perm.insert(j, v)
+            if j > last:
+                grow(v + 1, closed, run + 1, j)
+            else:
+                grow(v + 1, [*closed, run], 1, j)
+            del perm[j]
+
+    grow(1, [], 0, -1)
+
+
 def census_worst_cases(n: int, strategy: PivotStrategy) -> dict[tuple[int, ...], int]:
     """Max partition_sort comparisons over each realizable type, in one sweep.
 
     partition_sort's key recursion (all it charges) runs on every
-    permutation of 1..n, with no items built.  No segment of at most
-    sorters.MERGE_SEGMENT = 512 keys selects a pivot or builds a Random, so
-    every pivot kind is one fixed deterministic procedure across every class
-    and the information bound ceil(log2 nu) applies to each.
+    permutation of 1..n, with no items built.  _by_insertion yields them:
+    slot sequences and permutations are in bijection, so each is charged
+    exactly once, under the type its insertion slots give.  No segment of
+    at most sorters.MERGE_SEGMENT = 512 keys selects a pivot or builds a
+    Random, so every pivot kind is one fixed deterministic procedure across
+    every class and the information bound ceil(log2 nu) applies to each.
     """
     if not 1 <= n <= MAX_WORST_CASE_N:
         raise ValueError(f"worst-case sweeps support 1 <= n <= {MAX_WORST_CASE_N}, got {n}")
+    from .sorters import _charge_psort
+
     worst: dict[tuple[int, ...], int] = {}
     m = Meter()
-    for perm in permutations(range(1, n + 1)):
-        c = m.comparisons
-        _charge_psort(list(perm), strategy, m)
-        t = _type_of_permutation(perm)
-        if m.comparisons - c > worst.get(t, -1):
-            worst[t] = m.comparisons - c
+
+    def visit(perm: list[int], slots: range, sizes: tuple[int, ...]) -> None:
+        top = worst.get(sizes, -1)
+        for j in slots:
+            perm.insert(j, n)
+            c = m.comparisons
+            _charge_psort(perm, strategy, m)
+            if m.comparisons - c > top:
+                top = m.comparisons - c
+            del perm[j]
+        worst[sizes] = top
+
+    _by_insertion(n, visit)
     return worst

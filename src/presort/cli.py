@@ -5,8 +5,8 @@ seeds; rerunning produces identical bytes (the bench elapsed_ns column is
 the one timing-dependent exception, and --no-time zeroes it).  Exit codes,
 all chosen in main: 0 success; 1 bad flag or parameter; 2 unreadable or
 malformed input, or unwritable output; 3 output failed verification.
-Only core and sorters load with this module, for parsing and sort; each
-other handler imports the modules it runs, so a command pays for its own.
+Only core loads with this module, for parsing; each handler imports the
+modules it runs, so a command pays for its own.
 """
 
 from __future__ import annotations
@@ -16,28 +16,20 @@ import sys
 import time
 from contextlib import nullcontext
 from functools import partial
+from importlib import import_module
 from operator import itemgetter
 from typing import Optional
 
 from .core import (
     _KEY,
     FAMILIES,
+    PIVOT_KINDS,
     Meter,
     Sequence,
     SequenceFormatError,
     dump_sequence,
     load_sequence,
     verify_sorted_stable_permutation,
-)
-from .sorters import (
-    _check_window,
-    PIVOT_KINDS,
-    PivotStrategy,
-    SortOutcome,
-    blocked_sort,
-    insertion_sort,
-    natural_merge_sort,
-    partition_sort,
 )
 
 EXIT_OK = 0
@@ -173,13 +165,16 @@ def _bench_spec(family: str, n: int, args, seed: int) -> tuple:
 
 def _check_blocked(k: Optional[int], n: int) -> None:
     """The usage errors of blocked on an input of length n."""
+    from .sorters import _check_window
     if k is None:
         raise ValueError("blocked needs --k")
     _check_window(k, n)
 
 
-def _run_sorter(algo: str, pivot: str, seq: Sequence, k: Optional[int], seed: int) -> SortOutcome:
-    """Run one sorter on seq with a fresh Meter; pivot and seed steer psort."""
+def _run_sorter(algo: str, pivot: str, seq: Sequence, k: Optional[int], seed: int):
+    """Run one sorter on seq with a fresh Meter and return its SortOutcome;
+    pivot and seed steer psort."""
+    from .sorters import PivotStrategy, blocked_sort, insertion_sort, natural_merge_sort, partition_sort
     if algo == "psort":
         return partition_sort(seq, PivotStrategy(pivot, seed), Meter())
     if algo == "blocked":
@@ -213,6 +208,9 @@ def cmd_measure(args) -> None:
 
 
 def cmd_sort(args) -> None:
+    # sorters loads before the input: the garbage collections its import sets
+    # off would otherwise walk a large input (about 10 ms at 10^6 keys).
+    import_module(".sorters", __package__)
     seq = load_sequence(args.infile)
     if args.algo == "blocked":
         _check_blocked(args.k, seq.n)
@@ -281,7 +279,10 @@ def cmd_census(args) -> None:
     if not 1 <= args.n <= top:
         raise ValueError(f"{what} supports 1 <= n <= {top}, got {args.n}")
     with _open_out(args.out) as fh:
-        worst = census_worst_cases(args.n, PivotStrategy(args.worstcase.split("-")[1])) if args.worstcase else {}
+        worst = {}
+        if args.worstcase:
+            from .sorters import PivotStrategy
+            worst = census_worst_cases(args.n, PivotStrategy(args.worstcase.split("-")[1]))
         lines = [
             f"{_fmt_sizes(row.sizes)},{row.nu},{row.count_bound:.6f},{row.info_bits},{worst.get(row.sizes, '')}"
             for row in enumerate_census(args.n)

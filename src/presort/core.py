@@ -19,8 +19,10 @@ from typing import Iterable, Optional, Union
 KEY_MIN = -(2**63)
 KEY_MAX = 2**63 - 1
 
-# The generator families, here so that the CLI can offer them without loading generators.
+# The generator families and pivot kinds, here so that the CLI can offer them
+# without loading generators or sorters.
 FAMILIES = ("sorted", "reverse", "random", "displacement", "transpose", "sorted-type", "multiset")
+PIVOT_KINDS = ("median", "randmid", "fr")
 
 
 class Sequence:

@@ -35,7 +35,7 @@ from collections import namedtuple
 from itertools import compress, count, islice
 from operator import gt
 
-from .core import Meter, Sequence
+from .core import PIVOT_KINDS, Meter, Sequence
 
 # Segments at or below SMALL_SEGMENT are finished with insertion sort, with
 # no scan first.  A longer one is scanned for its first MERGE_SEGMENT
@@ -422,8 +422,7 @@ def _fr_pivot(keys: list[int], rng: random.Random, m: Meter) -> tuple[int, int]:
 # Each pivot kind's selector: (keys, rng, m) -> (pivot key, retries) on a
 # list of more than MERGE_SEGMENT keys, which the selector must not reorder:
 # partition_sort splits that same list around the pivot.
-_SELECTORS = {"median": _median_pivot, "randmid": _randmid_pivot, "fr": _fr_pivot}
-PIVOT_KINDS = tuple(_SELECTORS)
+_SELECTORS = dict(zip(PIVOT_KINDS, (_median_pivot, _randmid_pivot, _fr_pivot)))
 
 
 def select_exact_median(s: Sequence, m: Meter) -> int:

@@ -9,10 +9,10 @@ import pytest
 from presort.census import (
     MAX_CENSUS_N,
     MAX_WORST_CASE_N,
+    _by_insertion,
     census_worst_cases,
     enumerate_census,
     type_count_lower_bound,
-    _type_of_permutation,
 )
 from presort.core import Meter, Sequence
 from presort.measures import decompose_maximal
@@ -43,10 +43,27 @@ def test_census_extreme_types(n):
     assert d[(1,) * n] == 1  # reverse only
 
 
+def insertion_walk(n):
+    """(permutation, type) for each permutation _by_insertion visits, in order."""
+    seen = []
+
+    def visit(perm, slots, sizes):
+        assert sorted(perm) == list(range(1, n))
+        seen.extend((tuple(perm[:j]) + (n,) + tuple(perm[j:]), sizes) for j in slots)
+
+    _by_insertion(n, visit)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_by_insertion_visits_every_permutation_once(n):
+    assert sorted(perm for perm, _ in insertion_walk(n)) == list(permutations(range(1, n + 1)))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_census_matches_permutation_walk(n):
     """The counted nu per type equals a walk over every permutation."""
-    walk = Counter(_type_of_permutation(perm) for perm in permutations(range(1, n + 1)))
+    walk = Counter(sizes for _, sizes in insertion_walk(n))
     assert census_dict(n) == dict(walk)
 
 
@@ -99,10 +116,11 @@ def test_census_n_range():
 
 
 def test_type_of_permutation_matches_decompose():
-    for n in range(1, 7):
-        for perm in permutations(range(1, n + 1)):
-            seq = Sequence.from_keys(perm)
-            assert _type_of_permutation(perm) == decompose_maximal(seq).size_multiset()
+    """The type read off each permutation's insertion slots is the block-size
+    multiset of its maximal decomposition."""
+    for n in range(1, 8):
+        for perm, sizes in insertion_walk(n):
+            assert sizes == decompose_maximal(Sequence.from_keys(perm)).size_multiset(), perm
 
 
 def test_count_bound_worked_value():

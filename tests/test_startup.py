@@ -21,10 +21,10 @@ import pytest
 
 import presort
 from presort.census import CensusRow
-from presort.core import FAMILIES, Sequence
+from presort.core import FAMILIES, PIVOT_KINDS, Sequence
 from presort.generators import GenSpec
 from presort.measures import Decomposition, Profile
-from presort.sorters import PIVOT_KINDS, PivotStrategy, SortOutcome
+from presort.sorters import PivotStrategy, SortOutcome
 
 SRC = Path(presort.__file__).resolve().parents[1]
 
@@ -41,7 +41,7 @@ EXPORTED = {
     "select_floyd_rivest", "select_random_middle", "stable_three_way_partition",
 }  # fmt: skip
 
-CLI_MODULES = {"presort", "presort.cli", "presort.core", "presort.sorters"}
+CLI_MODULES = {"presort", "presort.cli", "presort.core"}
 
 
 def loads(code: str, cwd: Path = SRC) -> tuple[set, set]:
@@ -70,7 +70,7 @@ def test_import_presort_loads_no_submodule():
     assert presort_modules(new) == {"presort"}
 
 
-def test_import_cli_loads_core_and_sorters_only():
+def test_import_cli_loads_core_only():
     new, _ = loads("import presort.cli")
     assert presort_modules(new) == CLI_MODULES
     assert "dataclasses" not in new
@@ -79,14 +79,14 @@ def test_import_cli_loads_core_and_sorters_only():
 @pytest.mark.parametrize(
     "argv, extra, dataclasses_loaded",
     [
-        (["sort", "--in", "in.txt", "--algo", "psort", "--out", "out.txt"], set(), False),
+        (["sort", "--in", "in.txt", "--algo", "psort", "--out", "out.txt"], {"presort.sorters"}, False),
         (["measure", "--in", "in.txt"], {"presort.measures"}, False),
         (["census", "--n", "5"], {"presort.census"}, False),
-        (["census", "--n", "5", "--worstcase", "psort-median"], {"presort.census"}, False),
+        (["census", "--n", "5", "--worstcase", "psort-median"], {"presort.census", "presort.sorters"}, False),
         (["gen", "--family", "random", "--n", "20", "--out", "gen.txt"], {"presort.generators"}, True),
         (
             ["bench", "--families", "random", "--sizes", "20", "--algos", "natmerge", "--no-time"],
-            {"presort.generators", "presort.measures"},
+            {"presort.generators", "presort.measures", "presort.sorters"},
             True,
         ),
     ],
@@ -128,6 +128,12 @@ def test_families_read_from_core_or_generators():
     import presort.generators
 
     assert presort.FAMILIES is FAMILIES is presort.generators.FAMILIES
+
+
+def test_pivot_kinds_read_from_core_or_sorters():
+    import presort.sorters
+
+    assert presort.PIVOT_KINDS is PIVOT_KINDS is presort.sorters.PIVOT_KINDS
 
 
 # -- value types ---------------------------------------------------------------
