@@ -141,26 +141,20 @@ def _profile_fields(p) -> list[tuple[str, str]]:
 
 
 def _bench_spec(family: str, n: int, args, seed: int) -> tuple:
-    """The GenSpec of one bench trial and its param column."""
+    """The GenSpec of one bench trial and its param column.  GenSpec checks
+    the family's parameters exactly as for gen; --blocks stands for sizes."""
     from .generators import GenSpec
-    if family == "displacement":
-        if args.k is None:
-            raise ValueError("displacement family needs --k")
-        return GenSpec(family, n, k=args.k, seed=seed), f"k={args.k}"
-    if family == "multiset":
-        if args.h is None:
-            raise ValueError("multiset family needs --h")
-        return GenSpec(family, n, h=args.h, seed=seed), f"h={args.h}"
+    sizes = args.blocks_sizes
+    param = {"displacement": f"k={args.k}", "multiset": f"h={args.h}"}.get(family, "")
     if family == "sorted-type":
-        sizes = args.blocks_sizes
         if sizes is None:
             if args.blocks is None:
                 raise ValueError("sorted-type family needs --type or --blocks")
             if args.blocks < 1 or n % args.blocks:
                 raise ValueError(f"--blocks {args.blocks} must divide n={n}")
             sizes = (n // args.blocks,) * args.blocks
-        return GenSpec(family, n, sizes=sizes, seed=seed), f"type={_fmt_sizes(sizes)}"
-    return GenSpec(family, n, seed=seed), ""
+        param = f"type={_fmt_sizes(sizes)}"
+    return GenSpec(family, n, k=args.k, sizes=sizes, h=args.h, seed=seed), param
 
 
 def _check_blocked(k: Optional[int], n: int) -> None:
@@ -232,9 +226,6 @@ def cmd_sort(args) -> None:
 def cmd_bench(args) -> None:
     from .generators import generate
     from .measures import block_sizes, entropy, entropy_bound
-    for family in args.families:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
     for algo in args.algos:
         if algo not in BENCH_ALGOS:
             raise ValueError(f"unknown algo {algo!r}")

@@ -76,24 +76,18 @@ def _displacement(n: int, k: int, seed: int) -> Sequence:
     A right shift by s moves s items k+1-s slots left and the rest s slots
     right, so any 1 <= s <= k keeps displacement at most k.  The first
     block's shift is forced to 1 or k, both of which displace one element
-    by exactly k, so the maximum is hit, not just bounded.
+    by exactly k, so the maximum is hit, not just bounded.  With k = 0
+    every block is one key, so nothing shifts and no number is drawn.
     """
     keys = list(range(1, n + 1))
-    if k == 0:
-        return Sequence.from_keys(keys)
     rng = random.Random(seed)
     width = k + 1
-    for bi, lo in enumerate(range(0, n, width)):
-        if bi % 2 == 1:
-            continue
+    for lo in range(0, n, 2 * width):
         block = keys[lo : lo + width]
         if len(block) < 2:
             continue
-        if bi == 0:
-            s = rng.choice((1, k))
-        else:
-            # Partial tail blocks shift within their own length.
-            s = rng.randint(1, min(k, len(block) - 1))
+        # Partial tail blocks shift within their own length.
+        s = rng.choice((1, k)) if lo == 0 else rng.randint(1, min(k, len(block) - 1))
         keys[lo : lo + width] = block[-s:] + block[:-s]
     return Sequence.from_keys(keys)
 

@@ -171,14 +171,14 @@ def _group_medians(keys: list[int], m: Meter) -> list[int]:
 def _merge_keys(runs: list[list[int]], m: Meter) -> tuple[list[int], int]:
     """Merge consecutive sorted key runs pairwise, round by round.
 
-    Returns the merged keys and the moves: every merged key is one move.
-    Each round merges runs 0+1, 2+3, ... and carries an odd last run over
-    uncharged.  A pair A, B is merged by sorting A + B in place, but
-    charged what the left-biased per-test merge loop (ties take from the
-    left) tests before one run is used up: every key of the run that ends
-    first, plus the keys of the other run that the loop outputs before
-    that run's last key.  On singletons this is bottom-up mergesort: at
-    most len*ceil(log2 len) comparisons.  Needs at least one run.
+    Returns the merged keys and the moves, one per merged key.  Each round
+    merges runs 0+1, 2+3, ... and carries an odd last run over uncharged.
+    A pair A, B is merged by sorting A + B in place, but charged what the
+    left-biased per-test merge loop (ties take from the left) tests before
+    one run is used up, bisect_left(B, A[-1]) + bisect_right(A, B[-1]).
+    One term is the whole run that ends first: all of A is <= B[-1] if
+    A[-1] <= B[-1], else all of B is < A[-1].  The other counts the keys
+    of the other run output before it.  Needs at least one run.
     """
     c = moves = 0
     while len(runs) > 1:
@@ -186,10 +186,7 @@ def _merge_keys(runs: list[list[int]], m: Meter) -> tuple[list[int], int]:
         push = merged.append
         it = iter(runs)
         for a, b in zip(it, it):
-            if a[-1] <= b[-1]:
-                c += len(a) + bisect_left(b, a[-1])
-            else:
-                c += len(b) + bisect_right(a, b[-1])
+            c += bisect_left(b, a[-1]) + bisect_right(a, b[-1])
             a = a + b
             a.sort()
             push(a)
@@ -204,8 +201,8 @@ def _merge_keys(runs: list[list[int]], m: Meter) -> tuple[list[int], int]:
 def _merge_sort_keys(keys: list[int], m: Meter) -> tuple[list[int], int]:
     """_merge_keys on singleton runs: counted bottom-up mergesort.
 
-    Returns the sorted keys and the moves.  The first round's pairs are
-    built directly, one test and two moves each.
+    Returns the sorted keys and the moves; at most n*ceil(log2 n) tests.
+    The first round's pairs are built directly, one test and two moves each.
     """
     n = len(keys)
     if n <= 1:

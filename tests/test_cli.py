@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from presort import census, cli, generators
 from presort.census import MAX_WORST_CASE_N
 from presort.cli import BENCH_HEADER, CENSUS_HEADER, main
-from presort.core import Meter, load_sequence
+from presort.core import FAMILIES, Meter, load_sequence
 from presort.generators import GenSpec, generate
 from presort.measures import count_runs, decompose_maximal
 from presort.sorters import MERGE_SEGMENT, PIVOT_KINDS, PivotStrategy, partition_sort
@@ -534,6 +534,7 @@ def test_bench_usage_errors(tmp_path, capsys):
         ["--families", "sorted-type", "--algos", "insertion", "--blocks", "3"],
         ["--families", "displacement", "--algos", "insertion"],  # no --k
         ["--families", "sorted-type", "--algos", "insertion"],  # no --type or --blocks
+        ["--families", "nope", "--algos", "insertion"],
     ],
 )
 def test_bench_usage_error_leaves_out_unchanged(tmp_path, capsys, extra):
@@ -543,6 +544,15 @@ def test_bench_usage_error_leaves_out_unchanged(tmp_path, capsys, extra):
     assert code == 1
     assert stdout == "" and err.startswith("presort bench: ") and err.count("\n") == 1
     assert out.read_bytes() == b"earlier bytes\n"
+    message = err.removeprefix("presort bench: ")
+    family = extra[1].split(",")[-1]
+    if family in ("displacement", "multiset"):
+        # gen words a missing parameter of the same family at the same n alike.
+        gen_out = tmp_path / "gen.txt"
+        gen = run(capsys, "gen", "--family", family, "--n", "8", "--out", str(gen_out))
+        assert gen == (1, "", "presort gen: " + message) and not gen_out.exists()
+    if family == "nope":
+        assert all(repr(name) in message for name in FAMILIES)
 
 
 def test_bench_unwritable_out_exits_before_generating(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from itertools import accumulate
@@ -71,6 +72,29 @@ def test_displacement_k_zero_is_sorted():
 def test_displacement_adjacent_swap_pattern():
     seq = generate(GenSpec("displacement", 16, k=1, seed=3))
     assert max_displacement(seq) == 1
+
+
+def displacement_cases():
+    """Every (n, k) with n <= 39, then a few k for longer n, blocks past a
+    power of two and odd tails included."""
+    for n in range(40):
+        yield from ((n, k) for k in range(max(n, 1)))
+    for n in (64, 65, 129, 130, 1000, 4097):
+        yield from ((n, k) for k in sorted({0, 1, 2, 7, 63, n // 2, n - 1}))
+
+
+# sha256 over repr(keys) of every displacement case under seeds 0-3, in
+# order, taken from the generator before its block walk was folded.
+DISPLACEMENT_SHA256 = (3288, "0ed70a25cd8051213ec83ba9dd782540778c8e4957ff0550b804353330de72c9")
+
+
+def test_displacement_keys_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n, k in displacement_cases():
+        for seed in range(4):
+            digest.update(repr(generate(GenSpec("displacement", n, k=k, seed=seed)).keys()).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == DISPLACEMENT_SHA256
 
 
 def test_multiset_family_covers_every_value():
